@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .folded import _lattice_shell
 from .matern import AnisoMetric, MaternParams, decay_factor, unit_matern
 from .spectral import BoxDomain
 
@@ -64,8 +65,7 @@ def polylog_partial(s: float, z: float, terms: int) -> float:
         raise ValueError("terms must be >= 1")
     k = np.arange(1, terms + 1, dtype=float)
     vals = k ** (-float(s)) * z ** k
-    order = np.argsort(np.abs(vals))[::-1]
-    return math.fsum(vals[order].tolist())
+    return math.fsum(vals.tolist())
 
 
 def power_sum_closed(d: int, z: float) -> float:
@@ -135,11 +135,8 @@ def lattice_kernel_sum(params: MaternParams, lengths, *, rel_tol: float = 1e-8):
     running = 0.0
     j = 1
     while True:
-        rng = np.arange(0, j + 1)
-        grids = np.meshgrid(*([rng] * d), indexing="ij")
-        kk = np.stack([g.ravel() for g in grids], axis=-1)
-        on_shell = np.max(kk, axis=1) == j
-        kk = kk[on_shell]
+        kk = _lattice_shell(d, j)
+        kk = kk[np.all(kk >= 0, axis=1)]
         r = np.sqrt(np.sum((kk * lengths[None, :]) ** 2, axis=1))
         shell_vals = _kernel_radial(params, r)
         total_parts.extend(shell_vals.tolist())
@@ -148,29 +145,27 @@ def lattice_kernel_sum(params: MaternParams, lengths, *, rel_tol: float = 1e-8):
         if rem <= max(rel_tol * running, 1e-280 * params.sigma2) or j >= 400:
             break
         j += 1
-    order = np.argsort(np.abs(np.asarray(total_parts)))[::-1]
-    value = math.fsum([total_parts[i] for i in order])
-    return value, rem
+    return math.fsum(total_parts), rem
+
+
+def _lattice_bounds(params: MaternParams, delta: float, box: BoxDomain):
+    """(lattice, dirichlet) error bounds from one lattice kernel sum."""
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    d = params.d
+    s, rem = lattice_kernel_sum(params, box.lengths)
+    c_delta = float(_kernel_radial(params, delta))
+    return (2 ** d - 1) * c_delta + 2 ** d * (s + rem), 2 ** (d - 1) * (c_delta + s + rem)
 
 
 def lattice_error_bound(params: MaternParams, delta: float, box: BoxDomain) -> float:
     """(2^d - 1) C(delta) + 2^d sum_{k != 0} C(||L.k||_2), remainder included."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    d = params.d
-    s, rem = lattice_kernel_sum(params, box.lengths)
-    c_delta = float(_kernel_radial(params, delta))
-    return (2 ** d - 1) * c_delta + 2 ** d * (s + rem)
+    return _lattice_bounds(params, delta, box)[0]
 
 
 def dirichlet_error_bound(params: MaternParams, delta: float, box: BoxDomain) -> float:
     """Sharper Dirichlet variant 2^(d-1) (C(delta) + sum_{k != 0} C(||L.k||_2))."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    d = params.d
-    s, rem = lattice_kernel_sum(params, box.lengths)
-    c_delta = float(_kernel_radial(params, delta))
-    return 2 ** (d - 1) * (c_delta + s + rem)
+    return _lattice_bounds(params, delta, box)[1]
 
 
 def _closed_form_prefactor(d: int, f_ell: float) -> float:
@@ -196,9 +191,7 @@ def window_error_bound(params: MaternParams, delta: float, ell: float) -> BoundR
     f_ell = float(decay_factor(params.nu, params.kappa, ell))
     prefactor = _closed_form_prefactor(d, f_ell)
     window = prefactor * params.sigma2 * float(unit_matern(params.nu, params.kappa * delta))
-    box = BoxDomain.cubic(delta, ell, d)
-    lattice = lattice_error_bound(params, delta, box)
-    dirich = dirichlet_error_bound(params, delta, box)
+    lattice, dirich = _lattice_bounds(params, delta, BoxDomain.cubic(delta, ell, d))
     return BoundReport(delta=float(delta), ell=float(ell), prefactor=prefactor,
                        decay_ell=f_ell, lattice_bound=lattice,
                        window_bound=window, dirichlet_bound=dirich)

@@ -10,6 +10,12 @@ error curves.
 Every sum carries a certified bound on the images it omitted, built from
 the geometric domination M(a + b) <= M(a) * f(b) of the kernel family; a
 sum without a quantified remainder is not usable as a reference value.
+
+One engine sums the images of a list of point pairs: the Gram passes its
+upper-triangle pairs, the pair functions the single pair (x, y).  Its tail
+adds, over the reflection families, the remainder at that family's largest
+pair separation, so a one-point Gram certifies exactly what the pair
+function does.
 """
 
 from __future__ import annotations
@@ -72,12 +78,27 @@ def sign_vectors(d: int):
     return [SignVector(eps) for eps in product((1, -1), repeat=d)]
 
 
+def _lattice_shell(d: int, j: int) -> np.ndarray:
+    """Integer points of Z^d with sup-norm exactly j, shape (m, d), ints.
+
+    Enumerated face by face (axis a is the first with |k_a| = j), so the
+    cost is the shell's own size, not that of the cube it bounds.
+    """
+    if j == 0:
+        return np.zeros((1, d), dtype=int)
+    full = np.arange(-j, j + 1)
+    inner, face = full[1:-1], np.array([-j, j])
+    parts = []
+    for a in range(d):
+        grids = np.meshgrid(*([inner] * a + [face] + [full] * (d - 1 - a)), indexing="ij")
+        parts.append(np.stack([g.ravel() for g in grids], axis=-1))
+    return np.concatenate(parts)
+
+
 @lru_cache(maxsize=32)
 def _offsets(d: int, radius: int) -> np.ndarray:
-    """Integer lattice points with sup-norm at most radius, shape (m, d)."""
-    rng = np.arange(-radius, radius + 1)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+    """Integer lattice points with sup-norm at most radius, identity first."""
+    return np.concatenate([_lattice_shell(d, j) for j in range(radius + 1)]).astype(float)
 
 
 def _shell_count(d: int, j: int) -> int:
@@ -153,106 +174,27 @@ def pick_radius(params: MaternParams, box: BoxDomain, bc: str = "periodic", *,
         "pass an explicit radius")
 
 
-def _compensated(values: np.ndarray) -> float:
-    order = np.argsort(np.abs(values))[::-1]
-    return math.fsum(values[order].tolist())
-
-
-def _image_values(params: MaternParams, u: np.ndarray, periods: np.ndarray,
-                  radius: int) -> np.ndarray:
-    offs = _offsets(params.d, radius) * periods[None, :]
-    diffs = u[None, :] + offs
-    r = np.sqrt(np.sum(diffs * diffs, axis=1))
-    return params.sigma2 * unit_matern(params.nu, params.kappa * r)
-
-
-def _pair(x, y, d: int):
+def _pair(x, y, d: int) -> np.ndarray:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     if xv.shape != (d,) or yv.shape != (d,):
         raise ValueError(f"points must be vectors of length {d}")
-    return xv, yv
+    return np.vstack([xv, yv])
 
 
-def cov_folded_periodic(params: MaternParams, box: BoxDomain, x, y,
-                        radius: int | None = None) -> ImageSum:
-    """Kernel summed over the translation lattice of the box (period L_i)."""
-    xv, yv = _pair(x, y, params.d)
-    u = xv - yv
-    sep = float(np.max(np.abs(u)))
-    if radius is None:
-        radius = pick_radius(params, box, "periodic", separation_inf=sep)
-    periods = np.asarray(box.lengths, dtype=float)
-    vals = _image_values(params, u, periods, radius)
-    tail = _tail(params, box.length_min, sep, radius)
-    return ImageSum(radius=radius, value=_compensated(vals), tail_bound=tail)
+def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray,
+                pairs, radius: int | None, drop_identity: bool = False):
+    """Folded covariance of the point pairs (pts[i], pts[j]), (i, j) in ``pairs``.
 
-
-def _folded_reflected(params: MaternParams, box: BoxDomain, x, y,
-                      radius: int | None, signed: bool) -> ImageSum:
-    xv, yv = _pair(x, y, params.d)
-    periods = 2.0 * np.asarray(box.lengths, dtype=float)
-    seps = [float(np.max(np.abs(xv - np.array(s.eps) * yv)))
-            for s in sign_vectors(params.d)]
-    if radius is None:
-        radius = pick_radius(params, box, "neumann", separation_inf=max(seps))
-    partials = []
-    tail = 0.0
-    for s, sep in zip(sign_vectors(params.d), seps):
-        u = xv - np.array(s.eps, dtype=float) * yv
-        vals = _image_values(params, u, periods, radius)
-        part = _compensated(vals)
-        partials.append(part if not signed else s.parity * part)
-        tail += _tail(params, 2.0 * box.length_min, sep, radius)
-    return ImageSum(radius=radius, value=math.fsum(partials), tail_bound=tail)
-
-
-def cov_folded_neumann(params: MaternParams, box: BoxDomain, x, y,
-                       radius: int | None = None) -> ImageSum:
-    """All 2^d reflected image families with period 2L, every term positive."""
-    return _folded_reflected(params, box, x, y, radius, signed=False)
-
-
-def cov_folded_dirichlet(params: MaternParams, box: BoxDomain, x, y,
-                         radius: int | None = None) -> ImageSum:
-    """Reflected image families weighted by the parity of the reflection.
-
-    The tail certificate bounds the omitted images by absolute value; no
-    cancellation credit is taken.
+    Returns (values, radius, tail).  Reflection eps contributes the images
+    of x - eps.y; kernel evaluations are deduplicated across pairs,
+    reflections and images, and each pair's images are summed exactly
+    rounded (``math.fsum``), so the order of the images does not matter.
+    The radius is picked for the largest separation over all pairs and
+    reflections; the tail sums, over the reflections, the certified
+    remainder at that reflection's largest separation, which for a single
+    pair is the pair's own remainder.
     """
-    return _folded_reflected(params, box, x, y, radius, signed=True)
-
-
-def cov_folded(params: MaternParams, box: BoxDomain, kind: str, x, y,
-               radius: int | None = None) -> ImageSum:
-    """Folded covariance for a Dirichlet/Neumann/periodic boundary."""
-    if kind == "periodic":
-        return cov_folded_periodic(params, box, x, y, radius)
-    if kind == "neumann":
-        return cov_folded_neumann(params, box, x, y, radius)
-    if kind == "dirichlet":
-        return cov_folded_dirichlet(params, box, x, y, radius)
-    raise ValueError(f"no closed image sum for boundary kind {kind!r}")
-
-
-def cov_folded_gram(params: MaternParams, box: BoxDomain, kind: str, points,
-                    radius: int | None = None, *, drop_identity: bool = False):
-    """Folded covariance between all point pairs, vectorized.
-
-    Returns (gram, tail_bound) with the tail the worst certified remainder
-    over the pairs.  Kernel evaluations are deduplicated across pairs and
-    images, and each pair is accumulated with compensated summation.
-
-    With ``drop_identity`` the bare-kernel term (identity reflection, zero
-    shift) is excluded, which yields the aliasing error C_folded - C directly;
-    summing the non-identity images avoids the cancellation that otherwise
-    floors tiny errors at the resolution of O(sigma^2) values.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != params.d:
-        raise ValueError(f"points must have shape (n, {params.d})")
-    n = pts.shape[0]
-    iu = np.triu_indices(n)
     if kind == "periodic":
         reflections = [SignVector((1,) * params.d)]
         periods = np.asarray(box.lengths, dtype=float)
@@ -264,14 +206,14 @@ def cov_folded_gram(params: MaternParams, box: BoxDomain, kind: str, points,
     else:
         raise ValueError(f"no closed image sum for boundary kind {kind!r}")
     signed = kind == "dirichlet"
+    i, j = (np.asarray(idx, dtype=int) for idx in pairs)
 
-    us = [pts[iu[0]] - np.array(s.eps, dtype=float) * pts[iu[1]]
-          for s in reflections]
-    sep_max = max(float(np.max(np.abs(u))) for u in us)
+    us = [pts[i] - np.array(s.eps, dtype=float) * pts[j] for s in reflections]
+    seps = [float(np.max(np.abs(u))) for u in us]
     if radius is None:
         radius = pick_radius(params, box,
                              "periodic" if kind == "periodic" else "neumann",
-                             separation_inf=sep_max)
+                             separation_inf=max(seps))
     offs = _offsets(params.d, radius) * periods[None, :]
 
     blocks = []
@@ -284,18 +226,70 @@ def cov_folded_gram(params: MaternParams, box: BoxDomain, kind: str, points,
     mvals = params.sigma2 * unit_matern(params.nu, params.kappa * uniq)
     kernel = mvals[inv].reshape(rs.shape)
     if drop_identity:
-        center = (offs.shape[0] - 1) // 2
-        kernel[0, :, center] = 0.0
+        kernel[0, :, 0] = 0.0  # identity reflection, zero shift
 
-    vals = np.empty(iu[0].size)
-    for p in range(iu[0].size):
+    vals = np.empty(i.size)
+    for p in range(i.size):
         partials = []
         for si, s in enumerate(reflections):
-            part = _compensated(kernel[si, p])
+            part = math.fsum(kernel[si, p].tolist())
             partials.append(s.parity * part if signed else part)
         vals[p] = math.fsum(partials)
+    tail = sum(_tail(params, pmin, sep, radius) for sep in seps)
+    return vals, radius, tail
+
+
+def cov_folded_periodic(params: MaternParams, box: BoxDomain, x, y,
+                        radius: int | None = None) -> ImageSum:
+    """Kernel summed over the translation lattice of the box (period L_i)."""
+    return cov_folded(params, box, "periodic", x, y, radius)
+
+
+def cov_folded_neumann(params: MaternParams, box: BoxDomain, x, y,
+                       radius: int | None = None) -> ImageSum:
+    """All 2^d reflected image families with period 2L, every term positive."""
+    return cov_folded(params, box, "neumann", x, y, radius)
+
+
+def cov_folded_dirichlet(params: MaternParams, box: BoxDomain, x, y,
+                         radius: int | None = None) -> ImageSum:
+    """Reflected image families weighted by the parity of the reflection.
+
+    The tail certificate bounds the omitted images by absolute value; no
+    cancellation credit is taken.
+    """
+    return cov_folded(params, box, "dirichlet", x, y, radius)
+
+
+def cov_folded(params: MaternParams, box: BoxDomain, kind: str, x, y,
+               radius: int | None = None) -> ImageSum:
+    """Folded covariance for a Dirichlet/Neumann/periodic boundary."""
+    vals, radius, tail = _image_sums(params, box, kind, _pair(x, y, params.d),
+                                     ([0], [1]), radius)
+    return ImageSum(radius=radius, value=float(vals[0]), tail_bound=tail)
+
+
+def cov_folded_gram(params: MaternParams, box: BoxDomain, kind: str, points,
+                    radius: int | None = None, *, drop_identity: bool = False):
+    """Folded covariance between all point pairs, vectorized.
+
+    Returns (gram, tail_bound) with the tail a certified remainder valid for
+    every pair: per reflection family, the remainder at the family's largest
+    pair separation.  Kernel evaluations are deduplicated across pairs and
+    images, and each pair is accumulated with compensated summation.
+
+    With ``drop_identity`` the bare-kernel term (identity reflection, zero
+    shift) is excluded, which yields the aliasing error C_folded - C directly;
+    summing the non-identity images avoids the cancellation that otherwise
+    floors tiny errors at the resolution of O(sigma^2) values.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != params.d:
+        raise ValueError(f"points must have shape (n, {params.d})")
+    n = pts.shape[0]
+    iu = np.triu_indices(n)
+    vals, _, tail = _image_sums(params, box, kind, pts, iu, radius, drop_identity)
     gram = np.empty((n, n))
     gram[iu] = vals
     gram.T[iu] = vals
-    tail = len(reflections) * _tail(params, pmin, sep_max, radius)
     return gram, tail

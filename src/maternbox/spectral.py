@@ -8,6 +8,11 @@ Robin conditions, sums the expansion with a certified truncation-tail bound
 (Robin in d = 1 accelerated by the exact folded Neumann covariance), and
 exposes the per-mode system of the plain sum used by the sampler.
 
+One per-axis mode table (``_axis_mu_values``) serves every route: the
+modal sums, ``mode_system`` and ``eigenpair`` read their eigenvalues and
+mode values from its rows.  In d >= 2 the modal sum contracts the first
+two axes as a matrix product and sums the remaining axes mode by mode.
+
 Periodic complex exponentials are realized as real cosine/sine pairs with
 matching normalization, so all arithmetic stays real.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -203,6 +209,9 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     lo[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
     flo = resid(lo)
     fhi = resid(hi)
+    if not (np.all(np.isfinite(flo)) and np.all(np.isfinite(fhi))):
+        # (h ell)^2 overflows: NaN signs would slip past the bracket check
+        raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
     if np.any(np.sign(flo) == np.sign(fhi)):
         i = int(np.argmax(np.sign(flo) == np.sign(fhi)))
         raise ConvergenceError(
@@ -283,48 +292,28 @@ def eigenpair(bc: BoundarySpec, k, box: BoxDomain, kappa: float):
     Robin, nonnegative for Neumann.  For periodic conditions the complex
     exponential pair is realized as real modes: index j >= 0 selects the
     cosine mode of frequency j (j = 0 the constant), j < 0 the sine mode of
-    frequency |j|.
+    frequency |j|.  Each axis factor is one row of the per-axis mode table
+    that the modal sums use.
     """
     kt = tuple(int(v) for v in np.atleast_1d(k))
     if len(kt) != box.d:
         raise ValueError(f"multi-index must have {box.d} entries, got {kt}")
     mu_total = 0.0
-    axis_fns = []
+    rows = []
     for ki, L in zip(kt, box.lengths):
-        if bc.kind == "dirichlet":
-            if ki < 1:
-                raise ValueError(f"dirichlet index must be >= 1, got {ki}")
-            mu_total += (math.pi * ki / L) ** 2
-            axis_fns.append(lambda t, ki=ki, L=L:
-                            math.sqrt(2.0 / L) * np.sin(np.pi * ki * t / L))
-        elif bc.kind == "neumann":
+        if bc.kind == "neumann":
             if ki < 0:
                 raise ValueError(f"neumann index must be >= 0, got {ki}")
-            amp = math.sqrt((1.0 if ki == 0 else 2.0) / L)
-            mu_total += (math.pi * ki / L) ** 2
-            axis_fns.append(lambda t, ki=ki, L=L, amp=amp:
-                            amp * np.cos(np.pi * ki * t / L))
+            kmax, row = ki, ki
         elif bc.kind == "periodic":
-            j = abs(ki)
-            amp = math.sqrt((1.0 if j == 0 else 2.0) / L)
-            mu_total += (2.0 * math.pi * j / L) ** 2
-            if ki >= 0:
-                axis_fns.append(lambda t, j=j, L=L, amp=amp:
-                                amp * np.cos(2.0 * np.pi * j * t / L))
-            else:
-                axis_fns.append(lambda t, j=j, L=L, amp=amp:
-                                amp * np.sin(2.0 * np.pi * j * t / L))
-        elif bc.kind == "robin":
-            if ki < 1:
-                raise ValueError(f"robin index must be >= 1, got {ki}")
-            eig = _robin_cached(bc.beta, L, ki)
-            w = eig.omegas[ki - 1]
-            nrm = math.sqrt(eig.norms[ki - 1])
-            mu_total += w ** 2
-            axis_fns.append(lambda t, w=w, h=bc.beta, nrm=nrm:
-                            (np.cos(w * t) + (h / w) * np.sin(w * t)) / nrm)
+            kmax, row = abs(ki), (2 * ki - 1 if ki > 0 else -2 * ki)
         else:
-            raise ValueError(f"unsupported boundary kind {bc.kind!r}")
+            if ki < 1:
+                raise ValueError(f"{bc.kind} index must be >= 1, got {ki}")
+            # the Robin table holds kmax + 1 modes, the Dirichlet one kmax
+            kmax, row = (ki - 1 if bc.kind == "robin" else ki), ki - 1
+        mu_total += float(_axis_mu_values(bc, L, kmax, np.empty(0))[0][row])
+        rows.append((L, kmax, row))
     lam = 1.0 + mu_total / float(kappa) ** 2
 
     def w_fn(point):
@@ -333,8 +322,8 @@ def eigenpair(bc: BoundarySpec, k, box: BoxDomain, kappa: float):
             p = p.reshape(-1, 1)
         p = np.atleast_2d(p)
         out = np.ones(p.shape[0])
-        for i, fn in enumerate(axis_fns):
-            out = out * fn(p[:, i])
+        for i, (L, kmax, row) in enumerate(rows):
+            out = out * _axis_mu_values(bc, L, kmax, p[:, i])[1][row]
         return out if out.size > 1 else float(out[0])
 
     return lam, w_fn
@@ -403,26 +392,21 @@ def _plain_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
         w = params.eta2 * (1.0 + mu / kappa2) ** (-alpha)
         return V.T @ (w[:, None] * V)
     iu = np.triu_indices(n)
-    if box.d == 2:
-        mu1, V1 = axes[0]
-        mu2, V2 = axes[1]
-        lam = 1.0 + (mu1[:, None] + mu2[None, :]) / kappa2
-        W = params.eta2 * lam ** (-alpha)
-        G1 = V1[:, iu[0]] * V1[:, iu[1]]
-        G2 = V2[:, iu[0]] * V2[:, iu[1]]
-        vals = np.einsum("ip,ip->p", G1, W @ G2)
-    else:
-        mu1, V1 = axes[0]
-        mu2, V2 = axes[1]
-        mu3, V3 = axes[2]
-        G1 = V1[:, iu[0]] * V1[:, iu[1]]
-        G2 = V2[:, iu[0]] * V2[:, iu[1]]
-        G3 = V3[:, iu[0]] * V3[:, iu[1]]
-        vals = np.zeros(iu[0].size)
-        base = mu1[:, None] + mu2[None, :]
-        for c in range(mu3.size):
-            W = params.eta2 * (1.0 + (base + mu3[c]) / kappa2) ** (-alpha)
-            vals += np.einsum("ip,ip->p", G1, W @ G2) * G3[c]
+    G = [V[:, iu[0]] * V[:, iu[1]] for _, V in axes]
+    mu1, mu2 = axes[0][0][:, None], axes[1][0][None, :]
+    vals = np.zeros(iu[0].size)
+    # axes 1 and 2 contracted as a matrix product, axes 3.. summed mode by mode
+    for idx in product(*(range(mu.size) for mu, _ in axes[2:])):
+        # eta2 (1 + mu / kappa2)^(-alpha) in place: one (m1, m2) array at a time
+        W = mu1 + mu2 + sum(mu[c] for (mu, _), c in zip(axes[2:], idx))
+        W /= kappa2
+        W += 1.0
+        W **= -alpha
+        W *= params.eta2
+        term = np.einsum("ip,ip->p", G[0], W @ G[1])
+        for g, c in zip(G[2:], idx):
+            term = term * g[c]
+        vals += term
     gram = np.empty((n, n))
     gram[iu] = vals
     gram.T[iu] = vals

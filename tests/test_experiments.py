@@ -1,5 +1,6 @@
 """Experiment runner and CLI: config parsing, table protocol, golden stability."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -222,6 +223,27 @@ n_samples = 0
         run_sampler_check(bad)
 
 
+# SHA-256 of the CSV of each table verb on small d = 1 and d = 2 configs
+# (every boundary kind; Robin first in d = 1, so ``sample`` draws Robin modes).
+# A rewrite of the numerics must reproduce them byte for byte; an output
+# change on purpose replaces a digest and says why.  Digests depend on the
+# platform's libm and numpy build.
+GOLDEN = (
+    ("sigma2=1\nrho=0.1\nnu=1\nd=1\nbc=R,D,N,P\ndelta_list=0,0.05,0.2\nn_grid=7\n"
+     "trunc_h=1e-3\nseed=3\nn_samples=200\n",
+     {"cov-slice": "6180ed14d9c3d11cabfe0b86c8eefec03ceb5e134a688ee80faced140b6500ab",
+      "error-curve": "60477868951005c866915ed107c8d0b49be0ab06723c5b581870d3122f45d286",
+      "bounds": "0214ec0ae77397b938191f3d10d9bde23a788c227a74ada049592bf5ca2e1078",
+      "sample": "8fc19281a762b06e9f5bd7bbba6598fbbeebf41fcaa7fabf93049cc278eda6ec"}),
+    ("sigma2=1\nrho=0.1\nnu=1\nd=2\nbc=D,N,P,R\ndelta_list=0.05,0.2\nn_grid=3\n"
+     "trunc_h=2e-2\nseed=5\nn_samples=200\n",
+     {"cov-slice": "7d35c29417b829e21a3d3e9d32b4517a2c4d269d8f3c6739ebbb4e7e49381105",
+      "error-curve": "0ba1a7989680e2fe258250ed22ec61b4e9e717a30cdc3e602806c94fa2eeb2d1",
+      "bounds": "bbc53c76a94928a14ee61f686971fd63d92845754f2a34d8f1d326ed5e5673ec",
+      "sample": "bf1022245cf44c0e9c7efd30aec6d7b34151bb379f5b5c318706c18fe516ee1b"}),
+)
+
+
 def test_golden_byte_stability(tmp_path):
     cfg_path = _write_cfg(tmp_path, BASE_CFG)
     cfg = load_config(cfg_path)
@@ -231,6 +253,12 @@ def test_golden_byte_stability(tmp_path):
     s1 = render_csv(run_sampler_check(cfg))
     s2 = render_csv(run_sampler_check(cfg))
     assert s1 == s2
+    for k, (text, digests) in enumerate(GOLDEN):
+        cfg = load_config(_write_cfg(tmp_path, text, f"golden{k}.txt"))
+        for verb, run in (("cov-slice", run_cov_slice), ("error-curve", run_error_curve),
+                          ("bounds", run_bound_table), ("sample", run_sampler_check)):
+            got = hashlib.sha256(render_csv(run(cfg)).encode()).hexdigest()
+            assert got == digests[verb], f"config {k}, {verb}"
 
 
 def test_cli_end_to_end(tmp_path):

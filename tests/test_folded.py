@@ -202,8 +202,23 @@ def test_gram_matches_pairwise():
         for i in range(5):
             for j in range(5):
                 ref = cov_folded(p, box, kind, pts[i], pts[j], radius=4)
-                assert gram[i, j] == pytest.approx(ref.value, rel=1e-13, abs=1e-15)
-                assert tail >= ref.tail_bound * (1.0 - 1e-12)
+                assert gram[i, j] == ref.value
+                assert tail >= ref.tail_bound
+
+
+@pytest.mark.parametrize("kind", ["periodic", "neumann", "dirichlet"])
+@pytest.mark.parametrize("radius", [None, 2])
+def test_one_point_gram_is_the_pair_sum(kind, radius):
+    # same images, same certificate: the Gram charges each reflection
+    # family its own separation, as the pair functions do
+    for d in (1, 2, 3):
+        p = derive_params(1.0, 0.1, 1.0, d)
+        box = BoxDomain.cubic(0.2, 1.0, d)
+        x = np.linspace(0.15, 0.95, d)
+        gram, tail = cov_folded_gram(p, box, kind, x[None, :], radius)
+        ref = cov_folded(p, box, kind, x, x, radius)
+        assert gram[0, 0] == ref.value
+        assert tail == ref.tail_bound
 
 
 def test_imagesum_type():

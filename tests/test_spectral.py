@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from maternbox.matern import derive_params, matern_cov, matern_gram
+from maternbox.specfun import ConvergenceError
 from maternbox.spectral import (
     BoundarySpec,
     BoxDomain,
@@ -167,6 +168,10 @@ def test_robin_count_validation():
         robin_eigen_1d(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         robin_eigen_1d(-1.0, 1.0, 5)
+    # (h ell)^2 overflows: an error, not roots with NaN residuals
+    for h in (1e100, 1e150, 1e200, 1e300):
+        with pytest.raises(ConvergenceError), np.errstate(all="ignore"):
+            robin_eigen_1d(h, 1.2, 3)
 
 
 def test_dirichlet_vanishes_on_boundary():
