@@ -41,6 +41,8 @@ __all__ = [
     "window_error_bound",
 ]
 
+_LATTICE_REL_TOL = 1e-8
+
 
 @lru_cache(maxsize=None)
 def eulerian_number(n: int, k: int) -> int:
@@ -108,7 +110,7 @@ def _kernel_radial(params: MaternParams, r) -> np.ndarray:
     return params.sigma2 * unit_matern(params.nu, params.kappa * np.asarray(r, dtype=float))
 
 
-def lattice_kernel_sum(params: MaternParams, lengths, *, rel_tol: float = 1e-8):
+def lattice_kernel_sum(params: MaternParams, lengths):
     """sum_{k in N0^d \\ 0} C(||L.k||_2) with a certified remainder.
 
     Returns (value, remainder_bound); sup-norm shells are summed exactly
@@ -142,7 +144,7 @@ def lattice_kernel_sum(params: MaternParams, lengths, *, rel_tol: float = 1e-8):
         total_parts.extend(shell_vals.tolist())
         running += float(np.sum(shell_vals))
         rem = remainder(j + 1)
-        if rem <= max(rel_tol * running, 1e-280 * params.sigma2) or j >= 400:
+        if rem <= max(_LATTICE_REL_TOL * running, 1e-280 * params.sigma2) or j >= 400:
             break
         j += 1
     return math.fsum(total_parts), rem
@@ -212,6 +214,6 @@ def aniso_error_bound(sigma2: float, nu: float, metric: AnisoMetric,
     if delta < 0 or not ell > 0:
         raise ValueError("need delta >= 0 and ell > 0")
     kappa_eff = math.sqrt(2.0 * nu) / metric.scale_max
-    f_ell = float(unit_matern(max(nu, 0.5), kappa_eff * ell))
+    f_ell = float(decay_factor(nu, kappa_eff, ell))
     prefactor = _closed_form_prefactor(d, f_ell)
     return prefactor * float(sigma2) * float(unit_matern(nu, kappa_eff * delta))

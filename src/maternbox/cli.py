@@ -15,6 +15,7 @@ from .experiments import (
     run_sampler_check,
     run_verify,
 )
+from .specfun import ConvergenceError
 
 _TABLE_VERBS = {
     "cov-slice": run_cov_slice,
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
         cfg = replace(cfg, seed=args.seed)
     try:
         table = _TABLE_VERBS[args.verb](cfg)
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
         raise SystemExit(f"{args.verb} failed: {exc}") from exc
     _emit(render_csv(table), args.out)
     return 0

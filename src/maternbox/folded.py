@@ -15,7 +15,8 @@ One engine sums the images of a list of point pairs: the Gram passes its
 upper-triangle pairs, the pair functions the single pair (x, y).  Its tail
 adds, over the reflection families, the remainder at that family's largest
 pair separation, so a one-point Gram certifies exactly what the pair
-function does.
+function does.  The default radius is the smallest whose tail, that same
+per-family sum, meets the tolerance.
 """
 
 from __future__ import annotations
@@ -24,11 +25,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .matern import MaternParams, decay_factor, unit_matern
-from .spectral import BoxDomain
+
+if TYPE_CHECKING:
+    from .spectral import BoxDomain
 
 __all__ = [
     "ImageSum",
@@ -101,70 +105,74 @@ def _offsets(d: int, radius: int) -> np.ndarray:
     return np.concatenate([_lattice_shell(d, j) for j in range(radius + 1)]).astype(float)
 
 
-def _shell_count(d: int, j: int) -> int:
-    return (2 * j + 1) ** d - (2 * j - 1) ** d
+def _families(kind: str, box: BoxDomain):
+    """Reflection families and per-axis periods of a folded covariance.
+
+    Periodic: the identity with periods L; Neumann, Dirichlet: all 2^d with 2L.
+    """
+    lengths = np.asarray(box.lengths, dtype=float)
+    if kind == "periodic":
+        return [SignVector((1,) * box.d)], lengths
+    if kind in ("neumann", "dirichlet"):
+        return sign_vectors(box.d), 2.0 * lengths
+    raise ValueError(f"no closed image sum for boundary kind {kind!r}")
 
 
-def _tail(params: MaternParams, period_min: float, separation_inf: float,
-          radius: int) -> float:
+def _tail(params: MaternParams, period_min: float, seps, radius: int) -> float:
     """Certified bound on the kernel mass of all images beyond the radius.
 
-    Image j shells sit at distance >= j * period_min - separation_inf; the
-    first shells are summed with exact counts, the rest closed with the
-    geometric factor f(period_min) and the crude count (2j+1)^(d-1) <= (3j)^(d-1).
+    ``seps`` holds one sup-norm separation per reflection family, whose image
+    j shell sits at distance >= j * period_min - sep.  The first shells are
+    summed with exact counts, the rest closed at the next shell (the anchor)
+    with the geometric factor f(period_min) and the count (3j)^(d-1).
     """
     if radius < 0:
         raise ValueError("tail certificates need radius >= 0")
     d = params.d
-    kappa = params.kappa
-    total = 0.0
-    j_close = radius + 1 + _CLOSURE_SHELLS
+    seps = np.asarray(seps, dtype=float)
+    j_close = np.full(seps.shape, radius + 1 + _CLOSURE_SHELLS)
     # closure needs a strictly positive anchor distance
-    while j_close * period_min - separation_inf <= 0:
-        j_close += _CLOSURE_SHELLS
-    js = np.arange(radius + 1, j_close)
-    if js.size:
-        dist = js * period_min - separation_inf
-        vals = np.where(dist > 0, unit_matern(params.nu, kappa * np.maximum(dist, 1e-300)), 1.0)
-        counts = np.array([_shell_count(d, int(j)) for j in js], dtype=float)
-        total += float(np.dot(counts, vals))
-    f = float(decay_factor(params.nu, kappa, period_min))
-    anchor = j_close * period_min - separation_inf
-    m_anchor = float(unit_matern(params.nu, kappa * anchor))
+    while np.any(j_close * period_min - seps <= 0):
+        j_close += _CLOSURE_SHELLS * (j_close * period_min - seps <= 0)
+    js = np.arange(radius + 1, j_close.max() + 1, dtype=float)
+    f = float(decay_factor(params.nu, params.kappa, period_min))
     # sum_{j >= J} 2d (3j)^(d-1) f^(j-J) <= 2d (3J)^(d-1) (d-1)! / (1-f)^d
-    closure = ((3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1)
-               / (1.0 - f) ** d)
-    total += closure * m_anchor
-    return params.sigma2 * total
+    closure = (3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1) / (1.0 - f) ** d
+    weight = np.where(js < j_close[:, None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
+    weight[js == j_close[:, None]] = closure
+    dist = js * period_min - seps[:, None]
+    vals = np.ones(dist.shape)  # a shell that may reach distance 0 is charged M = 1
+    live = (weight > 0) & (dist > 0)
+    vals[live] = unit_matern(params.nu, params.kappa * dist[live])
+    return params.sigma2 * float(np.sum(weight * vals))
 
 
 def image_tail_bound(params: MaternParams, box: BoxDomain, radius: int, *,
-                     bc: str = "periodic", separation_inf: float = 0.0) -> float:
+                     bc: str = "periodic", separation_inf=0.0) -> float:
     """Certified bound on the omitted images of a folded covariance.
 
-    ``separation_inf`` is the sup-norm of x - eps.y for the pair in
-    question; the default 0 covers coincident points.  Periodic folding
-    uses the box lengths as periods, Neumann/Dirichlet reflections double
-    them (and sum over 2^d reflection families).
+    ``separation_inf`` is the sup-norm of x - eps.y for the pair in question,
+    one value per reflection family or one for all; the default 0 covers
+    coincident points.  Periodic folding has the box lengths as periods,
+    Neumann/Dirichlet the 2^d reflection families with doubled periods.
     """
     if radius < 1:
         raise ValueError("image_tail_bound needs radius >= 1")
-    if bc == "periodic":
-        return _tail(params, box.length_min, separation_inf, radius)
-    if bc in ("neumann", "dirichlet"):
-        one = _tail(params, 2.0 * box.length_min, separation_inf, radius)
-        return 2 ** box.d * one
-    raise ValueError(f"no image-sum tail for boundary kind {bc!r}")
+    families, periods = _families(bc, box)
+    seps = np.broadcast_to(np.asarray(separation_inf, dtype=float), (len(families),))
+    return _tail(params, float(periods.min()), seps, radius)
 
 
 def pick_radius(params: MaternParams, box: BoxDomain, bc: str = "periodic", *,
-                separation_inf: float | None = None, tol: float | None = None) -> int:
-    """Smallest image radius whose certified tail is below the tolerance."""
+                separation_inf=None, tol: float | None = None) -> int:
+    """Smallest image radius whose certified tail is below the tolerance.
+
+    ``separation_inf`` as in ``image_tail_bound``, by default the largest period.
+    """
     if tol is None:
         tol = _DEFAULT_TAIL_FACTOR * params.sigma2
     if separation_inf is None:
-        scale = 1.0 if bc == "periodic" else 2.0
-        separation_inf = scale * box.length_max
+        separation_inf = float(_families(bc, box)[1].max())
     for radius in range(1, _MAX_RADIUS + 1):
         if image_tail_bound(params, box, radius, bc=bc,
                             separation_inf=separation_inf) <= tol:
@@ -190,30 +198,18 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     of x - eps.y; kernel evaluations are deduplicated across pairs,
     reflections and images, and each pair's images are summed exactly
     rounded (``math.fsum``), so the order of the images does not matter.
-    The radius is picked for the largest separation over all pairs and
-    reflections; the tail sums, over the reflections, the certified
-    remainder at that reflection's largest separation, which for a single
-    pair is the pair's own remainder.
+    The tail sums, over the reflections, the certified remainder at that
+    reflection's largest separation, which for a single pair is the pair's
+    own remainder; the default radius is the smallest this tail certifies.
     """
-    if kind == "periodic":
-        reflections = [SignVector((1,) * params.d)]
-        periods = np.asarray(box.lengths, dtype=float)
-        pmin = box.length_min
-    elif kind in ("neumann", "dirichlet"):
-        reflections = sign_vectors(params.d)
-        periods = 2.0 * np.asarray(box.lengths, dtype=float)
-        pmin = 2.0 * box.length_min
-    else:
-        raise ValueError(f"no closed image sum for boundary kind {kind!r}")
+    reflections, periods = _families(kind, box)
     signed = kind == "dirichlet"
     i, j = (np.asarray(idx, dtype=int) for idx in pairs)
 
     us = [pts[i] - np.array(s.eps, dtype=float) * pts[j] for s in reflections]
     seps = [float(np.max(np.abs(u))) for u in us]
     if radius is None:
-        radius = pick_radius(params, box,
-                             "periodic" if kind == "periodic" else "neumann",
-                             separation_inf=max(seps))
+        radius = pick_radius(params, box, kind, separation_inf=seps)
     offs = _offsets(params.d, radius) * periods[None, :]
 
     blocks = []
@@ -235,7 +231,7 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
             part = math.fsum(kernel[si, p].tolist())
             partials.append(s.parity * part if signed else part)
         vals[p] = math.fsum(partials)
-    tail = sum(_tail(params, pmin, sep, radius) for sep in seps)
+    tail = _tail(params, float(periods.min()), seps, radius)
     return vals, radius, tail
 
 

@@ -6,7 +6,7 @@ modes, so the covariance of the resulting vector equals the truncated
 spectral covariance on the same grid with no further approximation.
 
 Reproducibility contract: the noise stream for a sample is Philox4x64
-keyed by the seed; each mode consumes one 64-bit draw reduced to 53 bits,
+keyed by the seed; each mode consumes the top 53 bits of one 64-bit draw,
 u = (n + 1/2) * 2^-53 in (0, 1), mapped through the inverse normal CDF.
 Modes are ordered exactly as in the spectral mode system (axis 0 slowest).
 Distinct seeds are independent streams, so samples can be generated in
@@ -49,8 +49,7 @@ class EmpiricalCov:
 
 
 def _standard_normals(seed: int, count: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    raw = gen.integers(0, 2 ** 53, size=count, dtype=np.uint64)
+    raw = np.random.Philox(key=int(seed)).random_raw(count) >> 11
     u = (raw.astype(float) + 0.5) / _TWO53
     return ndtri(u)
 

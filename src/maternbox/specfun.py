@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "BesselEval",
@@ -47,6 +46,7 @@ _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 _SERIES_MAX = 600
 _CF_MAX = 30000
+_QUAD_REL_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -227,13 +227,15 @@ def bessel_k(nu: float, x: float) -> BesselEval:
                       value=value, log_value=logv)
 
 
-def bessel_k_quadrature(nu: float, x: float, *, rel_tol: float = 1e-12) -> BesselEval:
+def bessel_k_quadrature(nu: float, x: float) -> BesselEval:
     """K_nu(x) by adaptive quadrature of the integral representation.
 
     The integrand t^(nu-1) exp(-t - x^2/(4t)) is integrated in u = log t
     after factoring out its peak value, so the route stays usable where
     K itself overflows.  Deliberately independent of the production path.
     """
+    from scipy.integrate import quad  # only this oracle needs it; slow to import
+
     nu = float(nu)
     if not math.isfinite(nu):
         raise ValueError(f"order must be finite, got {nu!r}")
@@ -263,7 +265,7 @@ def bessel_k_quadrature(nu: float, x: float, *, rel_tol: float = 1e-12) -> Besse
 
     val, err = quad(lambda u: math.exp(phi(u) - m), lo, hi,
                     epsabs=0.0, epsrel=1e-13, limit=500)
-    if not (val > 0.0 and math.isfinite(val)) or err > 100.0 * rel_tol * val:
+    if not (val > 0.0 and math.isfinite(val)) or err > 100.0 * _QUAD_REL_TOL * val:
         raise ConvergenceError(
             f"quadrature for K failed (nu={nu}, x={x}): value={val}, err={err}")
     log_value = m + math.log(val) - _LN2 - nu * (math.log(x) - _LN2)

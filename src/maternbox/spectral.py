@@ -26,6 +26,7 @@ from itertools import product
 
 import numpy as np
 
+from .folded import cov_folded_gram
 from .matern import MaternParams
 from .specfun import ConvergenceError
 
@@ -151,6 +152,11 @@ class TruncationSpec:
         return cls(kmax=int(math.ceil(L / h)) + 1)
 
 
+def _robin_residual(a, c: float):
+    """Normalized residual of the Robin frequency equation at a, c = h * ell."""
+    return ((a * a - c * c) * np.sin(a) - 2.0 * c * a * np.cos(a)) / (a * a + c * c)
+
+
 @dataclass(frozen=True)
 class RobinEigen1D:
     """First eigenpairs of -u'' on (0, ell_axis) with u'.n + h u = 0.
@@ -173,8 +179,7 @@ class RobinEigen1D:
     def eigenvalue_residual(self, alphas=None) -> np.ndarray:
         """Normalized residual of the frequency equation at the roots."""
         a = self.alphas if alphas is None else np.asarray(alphas, dtype=float)
-        c = self.h * self.ell_axis
-        return ((a * a - c * c) * np.sin(a) - 2.0 * c * a * np.cos(a)) / (a * a + c * c)
+        return _robin_residual(a, self.h * self.ell_axis)
 
     def evaluate(self, x) -> np.ndarray:
         """Unnormalized eigenfunction values, shape (count, len(x))."""
@@ -199,16 +204,12 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     c = h * ell_axis
-
-    def resid(a):
-        return ((a * a - c * c) * np.sin(a) - 2.0 * c * a * np.cos(a)) / (a * a + c * c)
-
     n = np.arange(1, count + 1, dtype=float)
     lo = (n - 1.0) * math.pi
     hi = n * math.pi
     lo[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
-    flo = resid(lo)
-    fhi = resid(hi)
+    flo = _robin_residual(lo, c)
+    fhi = _robin_residual(hi, c)
     if not (np.all(np.isfinite(flo)) and np.all(np.isfinite(fhi))):
         # (h ell)^2 overflows: NaN signs would slip past the bracket check
         raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
@@ -219,7 +220,7 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
             f"for h*ell = {c}")
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        fm = resid(mid)
+        fm = _robin_residual(mid, c)
         move_lo = np.sign(fm) == np.sign(flo)
         new_lo = np.where(move_lo, mid, lo)
         new_hi = np.where(move_lo, hi, mid)
@@ -516,8 +517,6 @@ def cov_spectral_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     if bc.kind == "robin" and box.d == 1:
         rest = _robin_neumann_remainder(params, bc.beta, box.lengths[0], kmax)
         if rest < tail:
-            from .folded import cov_folded_gram  # folded imports this module
-
             try:
                 fold, fold_tail = cov_folded_gram(params, box, "neumann", pts)
             except ValueError:  # no image radius certifies the Neumann sum

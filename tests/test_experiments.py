@@ -302,6 +302,17 @@ def test_cli_end_to_end(tmp_path):
     assert "unknown config key" in res.stderr
 
 
+def test_cli_reports_robin_root_failure(tmp_path):
+    # (beta L)^2 overflows, so the Robin roots cannot be bracketed
+    cfg_path = _write_cfg(tmp_path, "sigma2=1\nrho=0.1\nnu=1\nd=1\nbc=R\nrobin_beta=1e200\n")
+    res = subprocess.run(
+        [sys.executable, "-m", "maternbox.cli", "cov-slice", "--config", cfg_path],
+        capture_output=True, text=True)
+    assert res.returncode != 0
+    assert "cov-slice failed: Robin frequency equation not finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_bound_table(tmp_path):
     cfg = load_config(_write_cfg(tmp_path, BASE_CFG))
     table = run_bound_table(cfg)

@@ -190,6 +190,28 @@ def test_pick_radius_default_tolerance():
     r = pick_radius(p, box, "periodic")
     assert 1 <= r <= 6
     assert image_tail_bound(p, box, r, separation_inf=box.length_max) <= 1e-8
+    # one separation per reflection family, all equal, means the single float
+    for d, kind in ((1, "periodic"), (1, "neumann"), (2, "dirichlet")):
+        q = derive_params(1.0, 0.5, 1.0, d)
+        bx = BoxDomain.cubic(0.2, 1.0, d)
+        fams = 1 if kind == "periodic" else 2 ** d
+        assert (pick_radius(q, bx, kind, separation_inf=[0.7] * fams)
+                == pick_radius(q, bx, kind, separation_inf=0.7))
+
+
+def test_gram_radius_is_smallest_that_certifies():
+    from maternbox.experiments import grid_points
+
+    p = derive_params(1.0, 1.98, 1.0, 2)
+    box = BoxDomain.cubic(0.105, 1.0, 2)
+    pts = grid_points(2, 0.105, 5)
+    for kind in ("dirichlet", "neumann"):
+        gram, tail = cov_folded_gram(p, box, kind, pts)
+        gram17, tail17 = cov_folded_gram(p, box, kind, pts, radius=17)
+        _, tail16 = cov_folded_gram(p, box, kind, pts, radius=16)
+        assert np.array_equal(gram, gram17) and tail == tail17
+        assert tail == pytest.approx(8.706e-9, rel=1e-3) and tail <= 1e-8
+        assert tail16 == pytest.approx(3.876e-8, rel=1e-3) and tail16 > 1e-8
 
 
 def test_gram_matches_pairwise():

@@ -1,6 +1,8 @@
 """Bessel/log-gamma core: closed forms, symmetry, and the quadrature oracle."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,3 +143,11 @@ def test_domain_errors():
         bessel_k_quadrature(1.0, -1.0)
     with pytest.raises(ValueError):
         log_bessel_k(1.0, [1.0, float("inf")])
+
+
+def test_import_leaves_quadrature_unloaded():
+    # only the quadrature oracle needs scipy.integrate, which is slow to import
+    code = "import sys, maternbox; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
