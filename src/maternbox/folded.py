@@ -12,11 +12,14 @@ the geometric domination M(a + b) <= M(a) * f(b) of the kernel family; a
 sum without a quantified remainder is not usable as a reference value.
 
 One engine sums the images of a list of point pairs: the Gram passes its
-upper-triangle pairs, the pair functions the single pair (x, y).  Its tail
-adds, over the reflection families, the remainder at that family's largest
-pair separation, so a one-point Gram certifies exactly what the pair
-function does.  The default radius is the smallest whose tail, that same
-per-family sum, meets the tolerance.
+upper-triangle pairs, the pair functions the single pair (x, y).  Images
+are formed once per distinct |x - eps.y| row (componentwise); that is
+exact because the lattice offsets are symmetric, IEEE negation is exact
+and every sum is exactly rounded.  The tail adds, over the reflection
+families, the remainder at that family's largest pair separation, so a
+one-point Gram certifies exactly what the pair function does.  The default
+radius is the smallest whose tail, that same per-family sum, meets the
+tolerance.
 """
 
 from __future__ import annotations
@@ -106,15 +109,15 @@ def _offsets(d: int, radius: int) -> np.ndarray:
 
 
 def _families(kind: str, box: BoxDomain):
-    """Reflection families and per-axis periods of a folded covariance.
+    """Reflection signs (F, d), identity first, and per-axis periods.
 
     Periodic: the identity with periods L; Neumann, Dirichlet: all 2^d with 2L.
     """
     lengths = np.asarray(box.lengths, dtype=float)
     if kind == "periodic":
-        return [SignVector((1,) * box.d)], lengths
+        return np.ones((1, box.d)), lengths
     if kind in ("neumann", "dirichlet"):
-        return sign_vectors(box.d), 2.0 * lengths
+        return np.array([s.eps for s in sign_vectors(box.d)], dtype=float), 2.0 * lengths
     raise ValueError(f"no closed image sum for boundary kind {kind!r}")
 
 
@@ -195,42 +198,38 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     """Folded covariance of the point pairs (pts[i], pts[j]), (i, j) in ``pairs``.
 
     Returns (values, radius, tail).  Reflection eps contributes the images
-    of x - eps.y; kernel evaluations are deduplicated across pairs,
-    reflections and images, and each pair's images are summed exactly
-    rounded (``math.fsum``), so the order of the images does not matter.
-    The tail sums, over the reflections, the certified remainder at that
-    reflection's largest separation, which for a single pair is the pair's
-    own remainder; the default radius is the smallest this tail certifies.
+    of u = x - eps.y, formed once per distinct |u| row: the offsets are
+    symmetric per axis and IEEE negation is exact, so u and |u| have images
+    at the same distances, bit for bit.  Kernel evaluations are deduplicated
+    across rows and images; each row's images, then each pair's signed
+    family sums, are summed exactly rounded (``math.fsum``), so no order
+    matters.  The tail sums, over the reflections, the certified remainder
+    at that reflection's largest separation, which for a single pair is the
+    pair's own remainder; the default radius is the smallest this tail
+    certifies.
     """
-    reflections, periods = _families(kind, box)
-    signed = kind == "dirichlet"
+    eps, periods = _families(kind, box)
     i, j = (np.asarray(idx, dtype=int) for idx in pairs)
-
-    us = [pts[i] - np.array(s.eps, dtype=float) * pts[j] for s in reflections]
-    seps = [float(np.max(np.abs(u))) for u in us]
+    u = np.abs(pts[i] - eps[:, None, :] * pts[j])  # (families, pairs, d)
+    seps = u.max(axis=(1, 2))
     if radius is None:
         radius = pick_radius(params, box, kind, separation_inf=seps)
     offs = _offsets(params.d, radius) * periods[None, :]
-
-    blocks = []
-    for u in us:
-        diffs = u[:, None, :] + offs[None, :, :]
-        r2 = np.sum(diffs * diffs, axis=2)
-        blocks.append(np.sqrt(r2))
-    rs = np.stack(blocks, axis=0)  # (n_refl, n_pairs, n_images)
+    keys = u.reshape(-1, params.d)
+    if drop_identity:  # identity rows apart: only their zero shift is dropped
+        keys = np.column_stack([keys, np.arange(len(keys)) < i.size])
+    rows, row_of = np.unique(keys, axis=0, return_inverse=True)
+    diffs = rows[:, None, :params.d] + offs[None, :, :]
+    rs = np.sqrt(np.sum(diffs * diffs, axis=2))  # (distinct rows, images)
     uniq, inv = np.unique(rs.ravel(), return_inverse=True)
     mvals = params.sigma2 * unit_matern(params.nu, params.kappa * uniq)
     kernel = mvals[inv].reshape(rs.shape)
     if drop_identity:
-        kernel[0, :, 0] = 0.0  # identity reflection, zero shift
-
-    vals = np.empty(i.size)
-    for p in range(i.size):
-        partials = []
-        for si, s in enumerate(reflections):
-            part = math.fsum(kernel[si, p].tolist())
-            partials.append(s.parity * part if signed else part)
-        vals[p] = math.fsum(partials)
+        kernel[rows[:, -1] == 1, 0] = 0.0
+    row_sums = np.array([math.fsum(k.tolist()) for k in kernel])
+    sign = np.prod(eps, axis=1, keepdims=True) if kind == "dirichlet" else 1.0
+    family_sums = sign * row_sums[row_of.reshape(u.shape[:2])]
+    vals = np.array([math.fsum(col) for col in family_sums.T.tolist()])
     tail = _tail(params, float(periods.min()), seps, radius)
     return vals, radius, tail
 
@@ -272,7 +271,7 @@ def cov_folded_gram(params: MaternParams, box: BoxDomain, kind: str, points,
     Returns (gram, tail_bound) with the tail a certified remainder valid for
     every pair: per reflection family, the remainder at the family's largest
     pair separation.  Kernel evaluations are deduplicated across pairs and
-    images, and each pair is accumulated with compensated summation.
+    images, and each pair's images are summed exactly rounded (``math.fsum``).
 
     With ``drop_identity`` the bare-kernel term (identity reflection, zero
     shift) is excluded, which yields the aliasing error C_folded - C directly;

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .matern import MaternParams
 from .spectral import BoundarySpec, BoxDomain, TruncationSpec, mode_system
@@ -49,6 +48,7 @@ class EmpiricalCov:
 
 
 def _standard_normals(seed: int, count: int) -> np.ndarray:
+    from scipy.special import ndtri  # slow to import; only drawing needs it
     raw = np.random.Philox(key=int(seed)).random_raw(count) >> 11
     u = (raw.astype(float) + 0.5) / _TWO53
     return ndtri(u)

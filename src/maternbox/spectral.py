@@ -208,8 +208,8 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     lo = (n - 1.0) * math.pi
     hi = n * math.pi
     lo[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
-    flo = _robin_residual(lo, c)
-    fhi = _robin_residual(hi, c)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        flo, fhi = _robin_residual(lo, c), _robin_residual(hi, c)
     if not (np.all(np.isfinite(flo)) and np.all(np.isfinite(fhi))):
         # (h ell)^2 overflows: NaN signs would slip past the bracket check
         raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")

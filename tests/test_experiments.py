@@ -311,6 +311,7 @@ def test_cli_reports_robin_root_failure(tmp_path):
     assert res.returncode != 0
     assert "cov-slice failed: Robin frequency equation not finite" in res.stderr
     assert "Traceback" not in res.stderr
+    assert "RuntimeWarning" not in res.stderr
 
 
 def test_bound_table(tmp_path):

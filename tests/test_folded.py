@@ -1,6 +1,7 @@
 """Image sums: structure, oracle agreement, tail certificates."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -241,6 +242,48 @@ def test_one_point_gram_is_the_pair_sum(kind, radius):
         ref = cov_folded(p, box, kind, x, x, radius)
         assert gram[0, 0] == ref.value
         assert tail == ref.tail_bound
+
+
+def _reference_gram(p, box, kind, pts, radius, drop_identity):
+    # the direct form: per family and pair, fsum over the images of the signed
+    # u = x - eps.y; then fsum across the families with the Dirichlet parities
+    lengths = np.asarray(box.lengths)
+    if kind == "periodic":
+        families, periods = [(1,) * p.d], lengths
+    else:
+        families, periods = list(product((1, -1), repeat=p.d)), 2.0 * lengths
+    offs = np.array(list(product(range(-radius, radius + 1), repeat=p.d))) * periods
+    eps = np.array(families, dtype=float)
+    x, y = pts[None, :, None, None, :], pts[None, None, :, None, :]
+    diff = x - eps[:, None, None, None, :] * y + offs  # (family, i, j, image, axis)
+    kernel = p.sigma2 * unit_matern(p.nu, p.kappa * np.sqrt(np.sum(diff * diff, axis=-1)))
+    if drop_identity:
+        kernel[0, :, :, np.all(offs == 0, axis=1)] = 0.0
+    n = len(pts)
+    gram = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            partials = []
+            for f, e in enumerate(families):
+                part = math.fsum(kernel[f, i, j].tolist())
+                partials.append(math.prod(e) * part if kind == "dirichlet" else part)
+            gram[i, j] = math.fsum(partials)
+    return gram
+
+
+def test_gram_bitwise_equals_direct_reference():
+    rng = np.random.default_rng(5)
+    for d, lengths in ((1, (1.3,)), (2, (1.2, 1.45)), (3, (1.1, 1.2, 1.35))):
+        p = derive_params(1.5, 0.4, 0.8, d)
+        for box in (BoxDomain.cubic(0.1, 1.0, d),
+                    BoxDomain(delta=0.1, ell=1.0, lengths=lengths, d=d)):
+            # off-grid points in the box, so x - eps.y takes both signs
+            pts = rng.uniform(0.0, 1.0, size=(4, d)) * np.array(box.lengths)
+            for kind in ("periodic", "neumann", "dirichlet"):
+                for drop in (False, True):
+                    gram, _ = cov_folded_gram(p, box, kind, pts, 2, drop_identity=drop)
+                    ref = _reference_gram(p, box, kind, pts, 2, drop)
+                    assert np.array_equal(gram, ref), (d, box.lengths, kind, drop)
 
 
 def test_imagesum_type():

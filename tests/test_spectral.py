@@ -1,6 +1,7 @@
 """Box eigenpairs, Robin roots, and the truncated modal covariance."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,9 +169,10 @@ def test_robin_count_validation():
         robin_eigen_1d(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         robin_eigen_1d(-1.0, 1.0, 5)
-    # (h ell)^2 overflows: an error, not roots with NaN residuals
+    # (h ell)^2 overflows: an error, not roots with NaN residuals, nor a warning
     for h in (1e100, 1e150, 1e200, 1e300):
-        with pytest.raises(ConvergenceError), np.errstate(all="ignore"):
+        with pytest.raises(ConvergenceError), warnings.catch_warnings():
+            warnings.simplefilter("error")
             robin_eigen_1d(h, 1.2, 3)
 
 
