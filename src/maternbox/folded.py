@@ -15,18 +15,19 @@ One engine sums the images of a list of point pairs: the Gram passes its
 upper-triangle pairs, the pair functions the single pair (x, y).  Images
 are formed once per distinct |x - eps.y| row (componentwise); that is
 exact because the lattice offsets are symmetric, IEEE negation is exact
-and every sum is exactly rounded.  The tail adds, over the reflection
-families, the remainder at that family's largest pair separation, so a
-one-point Gram certifies exactly what the pair function does.  The default
-radius is the smallest whose tail, that same per-family sum, meets the
-tolerance.
+and every sum is exactly rounded: long rows are summed by exact integer
+bucket sums per binary exponent (``_row_fsums``), whose ``math.fsum`` is
+the ``math.fsum`` of the row, bit for bit.  The tail adds, over the
+reflection families, the remainder at that family's largest pair
+separation, so a one-point Gram certifies exactly what the pair function
+does.  The default radius is the smallest whose tail, that same
+per-family sum, meets the tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -53,6 +54,11 @@ __all__ = [
 _DEFAULT_TAIL_FACTOR = 1e-8
 _MAX_RADIUS = 128
 _CLOSURE_SHELLS = 48
+# shells per kernel call of a radius search: radii up to 47 take one call
+_TAIL_BLOCK = 2 * _CLOSURE_SHELLS
+# magnitudes whose bucket sums scale exactly (see _row_fsums)
+_SUM_MIN = 2.0 ** -960
+_SUM_MAX = 2.0 ** 960
 
 
 @dataclass(frozen=True)
@@ -102,12 +108,6 @@ def _lattice_shell(d: int, j: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-@lru_cache(maxsize=32)
-def _offsets(d: int, radius: int) -> np.ndarray:
-    """Integer lattice points with sup-norm at most radius, identity first."""
-    return np.concatenate([_lattice_shell(d, j) for j in range(radius + 1)]).astype(float)
-
-
 def _families(kind: str, box: BoxDomain):
     """Reflection signs (F, d), identity first, and per-axis periods.
 
@@ -121,33 +121,66 @@ def _families(kind: str, box: BoxDomain):
     raise ValueError(f"no closed image sum for boundary kind {kind!r}")
 
 
-def _tail(params: MaternParams, period_min: float, seps, radius: int) -> float:
-    """Certified bound on the kernel mass of all images beyond the radius.
+class _Tails:
+    """Certified bounds on the kernel mass of all images beyond a radius.
 
     ``seps`` holds one sup-norm separation per reflection family, whose image
     j shell sits at distance >= j * period_min - sep.  The first shells are
     summed with exact counts, the rest closed at the next shell (the anchor)
     with the geometric factor f(period_min) and the count (3j)^(d-1).
+
+    f(period_min) is evaluated once per instance, and the kernel at the
+    shell distances once per block of shells, so a radius search makes one
+    kernel call, not one per candidate.  Each radius still gets the same
+    terms in the same (families, shells) array and the same ``np.sum``, so
+    its tail does not depend on which radii were asked before.
     """
-    if radius < 0:
-        raise ValueError("tail certificates need radius >= 0")
-    d = params.d
-    seps = np.asarray(seps, dtype=float)
-    j_close = np.full(seps.shape, radius + 1 + _CLOSURE_SHELLS)
-    # closure needs a strictly positive anchor distance
-    while np.any(j_close * period_min - seps <= 0):
-        j_close += _CLOSURE_SHELLS * (j_close * period_min - seps <= 0)
-    js = np.arange(radius + 1, j_close.max() + 1, dtype=float)
-    f = float(decay_factor(params.nu, params.kappa, period_min))
-    # sum_{j >= J} 2d (3j)^(d-1) f^(j-J) <= 2d (3J)^(d-1) (d-1)! / (1-f)^d
-    closure = (3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1) / (1.0 - f) ** d
-    weight = np.where(js < j_close[:, None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
-    weight[js == j_close[:, None]] = closure
-    dist = js * period_min - seps[:, None]
-    vals = np.ones(dist.shape)  # a shell that may reach distance 0 is charged M = 1
-    live = (weight > 0) & (dist > 0)
-    vals[live] = unit_matern(params.nu, params.kappa * dist[live])
-    return params.sigma2 * float(np.sum(weight * vals))
+
+    def __init__(self, params: MaternParams, period_min: float, seps):
+        self.params = params
+        self.period_min = period_min
+        self.seps = np.asarray(seps, dtype=float)
+        self.f = float(decay_factor(params.nu, params.kappa, period_min))
+        self.kernel = np.ones((self.seps.size, 0))  # column j - 1 holds shell j
+
+    def _shells(self, j_max: int) -> np.ndarray:
+        """Kernel at shells 1..j_max per family; a shell that may reach distance 0 reads 1."""
+        have = self.kernel.shape[1]
+        if j_max > have:
+            js = np.arange(have + 1, max(j_max, have + _TAIL_BLOCK) + 1, dtype=float)
+            dist = js * self.period_min - self.seps[:, None]
+            vals = np.ones(dist.shape)
+            live = dist > 0
+            vals[live] = unit_matern(self.params.nu, self.params.kappa * dist[live])
+            self.kernel = np.concatenate([self.kernel, vals], axis=1)
+        return self.kernel[:, :j_max]
+
+    def __call__(self, radius: int) -> float:
+        if radius < 0:
+            raise ValueError("tail certificates need radius >= 0")
+        d, period_min, seps = self.params.d, self.period_min, self.seps
+        j_close = np.full(seps.shape, radius + 1 + _CLOSURE_SHELLS)
+        # closure needs a strictly positive anchor distance
+        while np.any(j_close * period_min - seps <= 0):
+            j_close += _CLOSURE_SHELLS * (j_close * period_min - seps <= 0)
+        j_max = int(j_close.max())
+        js = np.arange(radius + 1, j_max + 1, dtype=float)
+        # sum_{j >= J} 2d (3j)^(d-1) f^(j-J) <= 2d (3J)^(d-1) (d-1)! / (1-f)^d
+        closure = ((3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1)
+                   / (1.0 - self.f) ** d)
+        weight = np.where(js < j_close[:, None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
+        weight[js == j_close[:, None]] = closure
+        vals = self._shells(j_max)[:, radius:]
+        return self.params.sigma2 * float(np.sum(weight * vals))
+
+
+def _family_tails(params: MaternParams, box: BoxDomain, bc: str, separation_inf) -> _Tails:
+    """Tails at one separation per reflection family, or one for all; None: the largest period."""
+    families, periods = _families(bc, box)
+    if separation_inf is None:
+        separation_inf = periods.max()
+    seps = np.broadcast_to(np.asarray(separation_inf, dtype=float), (len(families),))
+    return _Tails(params, float(periods.min()), seps)
 
 
 def image_tail_bound(params: MaternParams, box: BoxDomain, radius: int, *,
@@ -161,24 +194,21 @@ def image_tail_bound(params: MaternParams, box: BoxDomain, radius: int, *,
     """
     if radius < 1:
         raise ValueError("image_tail_bound needs radius >= 1")
-    families, periods = _families(bc, box)
-    seps = np.broadcast_to(np.asarray(separation_inf, dtype=float), (len(families),))
-    return _tail(params, float(periods.min()), seps, radius)
+    return _family_tails(params, box, bc, separation_inf)(radius)
 
 
 def pick_radius(params: MaternParams, box: BoxDomain, bc: str = "periodic", *,
                 separation_inf=None, tol: float | None = None) -> int:
     """Smallest image radius whose certified tail is below the tolerance.
 
-    ``separation_inf`` as in ``image_tail_bound``, by default the largest period.
+    ``separation_inf`` as in ``image_tail_bound``, by default the largest
+    period; each candidate's tail is the one ``image_tail_bound`` returns.
     """
     if tol is None:
         tol = _DEFAULT_TAIL_FACTOR * params.sigma2
-    if separation_inf is None:
-        separation_inf = float(_families(bc, box)[1].max())
+    tails = _family_tails(params, box, bc, separation_inf)
     for radius in range(1, _MAX_RADIUS + 1):
-        if image_tail_bound(params, box, radius, bc=bc,
-                            separation_inf=separation_inf) <= tol:
+        if tails(radius) <= tol:
             return radius
     raise ValueError(
         f"no radius up to {_MAX_RADIUS} certifies a tail below {tol}; "
@@ -193,6 +223,77 @@ def _pair(x, y, d: int) -> np.ndarray:
     return np.vstack([xv, yv])
 
 
+def _row_fsums(values: np.ndarray, inv: np.ndarray, counts: np.ndarray, row: np.ndarray,
+               n_rows: int) -> np.ndarray:
+    """``math.fsum`` of each row's images, bit for bit.
+
+    Row ``row[e]`` holds ``counts[e]`` images of value ``values[inv[e]]``;
+    ``row`` is nondecreasing and every row has the same number of images.
+    Each value is m * 2^(e-53) with an integer significand |m| < 2^53,
+    split as m = hi * 2^26 + lo into integers below 2^27.  Per (row,
+    exponent) the hi and the lo times their counts are summed with
+    ``np.bincount``; with fewer than 2^26 images per row every such sum is
+    an integer below 2^53, so it is exact in float64, and so is its scaling
+    by 2^(e-27) or 2^(e-53) while every nonzero |value| lies in
+    [2^-960, 2^960].  The row's exact sum is then the sum of these few
+    scaled bucket sums, and ``math.fsum`` rounds either list to the same
+    correctly rounded number.  Rows with no more images than bucket terms,
+    or values out of that range, go straight to ``math.fsum``.  Only the
+    distinct values are decomposed.
+    """
+    n_images = int(counts.sum()) // n_rows
+    frac, exps = np.frexp(values)
+    bucket_exps, bucket = np.unique(exps, return_inverse=True)
+    n_buckets = bucket_exps.size
+    mag = np.abs(values)
+    scalable = np.all((mag == 0.0) | ((mag >= _SUM_MIN) & (mag <= _SUM_MAX)))
+    if not (scalable and 2 * n_buckets < n_images < 2 ** 26):
+        images = np.repeat(values[inv], counts).reshape(n_rows, n_images)
+        return np.array([math.fsum(k.tolist()) for k in images])
+    m = np.ldexp(frac, 53)
+    hi = np.floor(np.ldexp(m, -26))
+    lo = m - np.ldexp(hi, 26)
+    key = bucket[inv]
+    key += row * n_buckets
+    sums = []
+    for half, scale in ((hi, 27), (lo, 53)):
+        weights = half[inv]
+        weights *= counts
+        sums.append(np.ldexp(np.bincount(key, weights, n_rows * n_buckets).reshape(n_rows, -1),
+                             bucket_exps - scale))
+    terms = np.concatenate(sums, axis=1)
+    return np.array([math.fsum(t.tolist()) for t in terms])
+
+
+def _row_distances(rows: np.ndarray, periods: np.ndarray, radius: int, dropped: np.ndarray):
+    """Distinct squared image distances of each row, deduplicated across rows.
+
+    Returns (dist2, inv, counts, row): row ``row[e]`` has ``counts[e]``
+    images at squared distance ``dist2[inv[e]]``, and ``row`` is
+    nondecreasing.  A row's squared distances are per-axis outer sums of
+    (u_a + k_a P_a)^2 over |k_a| <= radius, added in axis order as
+    ``np.sum`` adds them.  The zero shift of each ``dropped`` row gets
+    squared distance -1, below every real one.
+    """
+    n_rows = len(rows)
+    shifts = np.arange(-radius, radius + 1, dtype=float)
+    r2 = np.zeros(n_rows)
+    for a in range(len(periods)):  # ((0 + s_0) + s_1) + s_2
+        t = rows[:, a, None] + shifts * periods[a]
+        r2 = r2[..., None] + (t * t).reshape((n_rows,) + (1,) * a + (shifts.size,))
+    r2 = r2.reshape(n_rows, -1)  # the zero shift sits in the middle
+    r2[dropped, r2.shape[1] // 2] = -1.0
+    r2.sort(axis=1)
+    first = np.ones(r2.shape, dtype=bool)
+    first[:, 1:] = r2[:, 1:] != r2[:, :-1]
+    starts = np.flatnonzero(first)
+    entries = r2.ravel()[starts]
+    n_images, size = r2.shape[1], r2.size
+    del r2, first  # freed before the sort inside np.unique
+    dist2, inv = np.unique(entries, return_inverse=True)
+    return dist2, inv, np.diff(np.append(starts, size)), starts // n_images
+
+
 def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray,
                 pairs, radius: int | None, drop_identity: bool = False):
     """Folded covariance of the point pairs (pts[i], pts[j]), (i, j) in ``pairs``.
@@ -200,37 +301,36 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     Returns (values, radius, tail).  Reflection eps contributes the images
     of u = x - eps.y, formed once per distinct |u| row: the offsets are
     symmetric per axis and IEEE negation is exact, so u and |u| have images
-    at the same distances, bit for bit.  Kernel evaluations are deduplicated
-    across rows and images; each row's images, then each pair's signed
-    family sums, are summed exactly rounded (``math.fsum``), so no order
-    matters.  The tail sums, over the reflections, the certified remainder
-    at that reflection's largest separation, which for a single pair is the
-    pair's own remainder; the default radius is the smallest this tail
-    certifies.
+    at the same distances, bit for bit.  Each row keeps its distinct image
+    distances with their counts (``_row_distances``), and the kernel is
+    evaluated once per distance across rows.  Each row's images, then each
+    pair's signed family sums, are summed exactly rounded (``_row_fsums``
+    equals ``math.fsum`` of the row's images), so no order matters.  The tail sums, over the
+    reflections, the certified remainder at that reflection's largest
+    separation, which for a single pair is the pair's own remainder; the
+    default radius is the smallest this tail certifies.
     """
+    d = params.d
     eps, periods = _families(kind, box)
     i, j = (np.asarray(idx, dtype=int) for idx in pairs)
     u = np.abs(pts[i] - eps[:, None, :] * pts[j])  # (families, pairs, d)
     seps = u.max(axis=(1, 2))
     if radius is None:
         radius = pick_radius(params, box, kind, separation_inf=seps)
-    offs = _offsets(params.d, radius) * periods[None, :]
-    keys = u.reshape(-1, params.d)
+    keys = u.reshape(-1, d)
     if drop_identity:  # identity rows apart: only their zero shift is dropped
         keys = np.column_stack([keys, np.arange(len(keys)) < i.size])
     rows, row_of = np.unique(keys, axis=0, return_inverse=True)
-    diffs = rows[:, None, :params.d] + offs[None, :, :]
-    rs = np.sqrt(np.sum(diffs * diffs, axis=2))  # (distinct rows, images)
-    uniq, inv = np.unique(rs.ravel(), return_inverse=True)
-    mvals = params.sigma2 * unit_matern(params.nu, params.kappa * uniq)
-    kernel = mvals[inv].reshape(rs.shape)
-    if drop_identity:
-        kernel[rows[:, -1] == 1, 0] = 0.0
-    row_sums = np.array([math.fsum(k.tolist()) for k in kernel])
+    dropped = rows[:, -1] == 1 if drop_identity else np.zeros(len(rows), dtype=bool)
+    dist2, inv, counts, row = _row_distances(rows[:, :d], periods, radius, dropped)
+    mvals = np.zeros(dist2.size)
+    kept = dist2 >= 0.0  # the dropped zero shifts read 0
+    mvals[kept] = params.sigma2 * unit_matern(params.nu, params.kappa * np.sqrt(dist2[kept]))
+    row_sums = _row_fsums(mvals, inv, counts, row, len(rows))
     sign = np.prod(eps, axis=1, keepdims=True) if kind == "dirichlet" else 1.0
     family_sums = sign * row_sums[row_of.reshape(u.shape[:2])]
     vals = np.array([math.fsum(col) for col in family_sums.T.tolist()])
-    tail = _tail(params, float(periods.min()), seps, radius)
+    tail = _Tails(params, float(periods.min()), seps)(radius)
     return vals, radius, tail
 
 
@@ -271,7 +371,9 @@ def cov_folded_gram(params: MaternParams, box: BoxDomain, kind: str, points,
     Returns (gram, tail_bound) with the tail a certified remainder valid for
     every pair: per reflection family, the remainder at the family's largest
     pair separation.  Kernel evaluations are deduplicated across pairs and
-    images, and each pair's images are summed exactly rounded (``math.fsum``).
+    images, and each pair's images are summed exactly rounded: the result
+    is bitwise ``math.fsum`` of the images, whether long rows go through
+    exact per-exponent bucket sums or straight to ``math.fsum``.
 
     With ``drop_identity`` the bare-kernel term (identity reflection, zero
     shift) is excluded, which yields the aliasing error C_folded - C directly;

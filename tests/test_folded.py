@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from maternbox import folded
 from maternbox.folded import (
     ImageSum,
     SignVector,
@@ -271,6 +272,14 @@ def _reference_gram(p, box, kind, pts, radius, drop_identity):
     return gram
 
 
+def _family_seps(box, kind, pts):
+    # per reflection family, the largest sup-norm separation over all pairs
+    eps = np.array([(1,) * box.d] if kind == "periodic"
+                   else list(product((1, -1), repeat=box.d)), dtype=float)
+    u = np.abs(pts[None, :, None, :] - eps[:, None, None, :] * pts[None, None, :, :])
+    return u.max(axis=(1, 2, 3))
+
+
 def test_gram_bitwise_equals_direct_reference():
     rng = np.random.default_rng(5)
     for d, lengths in ((1, (1.3,)), (2, (1.2, 1.45)), (3, (1.1, 1.2, 1.35))):
@@ -284,6 +293,128 @@ def test_gram_bitwise_equals_direct_reference():
                     gram, _ = cov_folded_gram(p, box, kind, pts, 2, drop_identity=drop)
                     ref = _reference_gram(p, box, kind, pts, 2, drop)
                     assert np.array_equal(gram, ref), (d, box.lengths, kind, drop)
+    # default radius with rho at or beyond the box: rows of 89 to 59,319
+    # images, long enough for the bucketed exact sums in every dimension
+    for d, rho, n, kind in ((1, 6.0, 4, "dirichlet"), (2, 1.5, 3, "neumann"),
+                            (3, 1.0, 2, "periodic")):
+        p = derive_params(1.0, rho, 1.0, d)
+        box = BoxDomain(delta=0.1, ell=1.0, lengths=(1.1, 1.25, 1.2)[:d], d=d)
+        pts = rng.uniform(0.0, 1.0, size=(n, d)) * np.array(box.lengths)
+        radius = pick_radius(p, box, kind, separation_inf=_family_seps(box, kind, pts))
+        assert (2 * radius + 1) ** d >= 81, (d, radius)
+        for drop in (False, True):
+            gram, tail = cov_folded_gram(p, box, kind, pts, drop_identity=drop)
+            ref = _reference_gram(p, box, kind, pts, radius, drop)
+            assert np.array_equal(gram, ref), (d, kind, drop)
+            assert tail == cov_folded_gram(p, box, kind, pts, radius)[1]
+
+
+def _reference_row_fsums(values, index):
+    return np.array([math.fsum(values[row].tolist()) for row in index])
+
+
+@pytest.mark.parametrize("case", ["zeros", "ones", "subnormal", "span", "single", "long",
+                                  "long_mixed"])
+def test_row_sums_equal_fsum_bitwise(case):
+    # math.fsum is the reference on rows built to break a non-exact sum:
+    # cancellation of huge and tiny terms, ties, subnormals, empty buckets
+    rng = np.random.default_rng(29)
+    long = 4096  # far more images than buckets: the bucketed path
+    if case == "zeros":
+        values = np.array([0.0, 0.0, 1.0])
+        index = np.array([[0, 1, 0, 1], [0, 2, 1, 0], [2, 2, 2, 2]])
+    elif case == "ones":
+        values = np.array([1.0, 0.0])
+        index = rng.integers(0, 2, size=(7, long))
+    elif case == "subnormal":
+        values = np.array([5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 0.0, 3e-300])
+        index = rng.integers(0, values.size, size=(5, long))
+    elif case == "span":
+        # exponents over 1900 binades, plus ulps that set the ties
+        values = np.ldexp(1.0 + rng.integers(0, 2 ** 52, 64) * 2.0 ** -52,
+                          rng.integers(-955, 955, 64))
+        values = np.concatenate([values, [1.0, 2.0 ** -53, 2.0 ** -54, 3.0 * 2.0 ** -54]])
+        index = rng.integers(0, values.size, size=(6, long))
+    elif case == "single":
+        values = rng.random(9) * np.ldexp(1.0, rng.integers(-40, 40, 9))
+        index = np.arange(9)[:, None]
+    else:
+        # kernel-like rows: values over ~100 binades, and for "long_mixed" a
+        # 1.0 with a run of ulp-scale values whose total decides the rounding
+        values = np.exp(-rng.uniform(0.0, 70.0, 3000))
+        if case == "long_mixed":
+            values = np.concatenate([values, [1.0, 2.0 ** -53, 2.0 ** -53 + 2.0 ** -105]])
+        index = rng.integers(0, values.size, size=(40, long))
+        index[:, -3:] = values.size - np.arange(1, 4)
+    ref = _reference_row_fsums(values, index)
+    n_rows, n_images = index.shape
+    # one entry per image, and one per distinct value of a row with its count
+    srt = np.sort(index, axis=1)
+    first = np.ones(srt.shape, dtype=bool)
+    first[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    starts = np.flatnonzero(first)
+    for inv, counts, row in (
+            (index.ravel(), np.ones(index.size, dtype=int), np.arange(index.size) // n_images),
+            (srt.ravel()[starts], np.diff(np.append(starts, srt.size)), starts // n_images)):
+        got = folded._row_fsums(values, inv, counts, row, n_rows)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_pick_radius_equals_per_radius_tail_loop():
+    # the search over one kernel table picks the radius, and returns the
+    # tails, of evaluating each candidate on its own
+    for d in (1, 2, 3):
+        p = derive_params(1.0, 0.6, 1.0, d)
+        box = BoxDomain(delta=0.1, ell=1.0, lengths=(1.1, 1.3, 1.2)[:d], d=d)
+        pts = np.linspace(0.05, 1.0, 3 * d).reshape(3, d)
+        for kind in ("periodic", "neumann", "dirichlet"):
+            seps = _family_seps(box, kind, pts)
+            for tol in (1e-4, 1e-8, 1e-14):
+                radius = pick_radius(p, box, kind, separation_inf=seps, tol=tol)
+                loop = next(r for r in range(1, 129)
+                            if _reference_tail(p, box, kind, seps, r) <= tol)
+                assert radius == loop, (d, kind, tol)
+                for r in (radius - 1, radius, radius + 1):
+                    if r >= 1:
+                        assert (image_tail_bound(p, box, r, bc=kind, separation_inf=seps)
+                                == _reference_tail(p, box, kind, seps, r))
+            _, tail = cov_folded_gram(p, box, kind, pts)
+            radius = pick_radius(p, box, kind, separation_inf=seps)
+            assert tail == _reference_tail(p, box, kind, seps, radius)
+    # a tolerance that needs more shells than one table block (radii up to 47)
+    p = derive_params(1.0, 6.0, 1.0, 1)
+    box = BoxDomain.cubic(0.05, 1.0, 1)
+    radius = pick_radius(p, box, "neumann", tol=1e-12)
+    assert radius > 47
+    assert _reference_tail(p, box, "neumann", [box.length_max * 2] * 2, radius) <= 1e-12
+    assert _reference_tail(p, box, "neumann", [box.length_max * 2] * 2, radius - 1) > 1e-12
+    with pytest.raises(ValueError, match=r"^no radius up to 128 certifies a tail below "
+                                         r"1e-300; pass an explicit radius$"):
+        pick_radius(p, box, "neumann", tol=1e-300)
+
+
+def _reference_tail(p, box, kind, seps, radius):
+    # the per-radius tail in its direct form: one kernel call over the live
+    # shells of this radius only, the decay factor evaluated here
+    from maternbox.matern import decay_factor
+
+    periods = np.asarray(box.lengths) * (1.0 if kind == "periodic" else 2.0)
+    period = float(periods.min())
+    seps = np.asarray(seps, dtype=float)
+    d = p.d
+    j_close = np.full(seps.shape, radius + 1 + 48)
+    while np.any(j_close * period - seps <= 0):
+        j_close += 48 * (j_close * period - seps <= 0)
+    js = np.arange(radius + 1, j_close.max() + 1, dtype=float)
+    f = float(decay_factor(p.nu, p.kappa, period))
+    closure = (3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1) / (1.0 - f) ** d
+    weight = np.where(js < j_close[:, None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
+    weight[js == j_close[:, None]] = closure
+    dist = js * period - seps[:, None]
+    vals = np.ones(dist.shape)
+    live = (weight > 0) & (dist > 0)
+    vals[live] = unit_matern(p.nu, p.kappa * dist[live])
+    return p.sigma2 * float(np.sum(weight * vals))
 
 
 def test_imagesum_type():

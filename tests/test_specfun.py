@@ -109,6 +109,21 @@ def test_production_matches_oracle_dense():
             assert prod == pytest.approx(orac, abs=1e-10), (nu, x)
 
 
+@pytest.mark.parametrize("nu", [0.25, 0.5, 1.0, 2.5, 50.0])
+def test_batch_equals_single_point_evaluation(nu):
+    # each point's value must not depend on the batch it rides in: mixed x
+    # across the series/continued-fraction split at 2, just above 2 (the
+    # slowest continued fraction) and far out, in shuffled orders
+    rng = np.random.default_rng(17)
+    x = np.concatenate([rng.uniform(1e-4, 2.0, 60), [2.0, np.nextafter(2.0, 3.0)],
+                        2.0 + rng.uniform(0.0, 1e-3, 30), rng.uniform(2.0, 60.0, 60),
+                        rng.uniform(60.0, 700.0, 30)])
+    single = np.array([log_bessel_k(nu, v) for v in x])
+    for order in (np.arange(x.size), rng.permutation(x.size), rng.permutation(x.size)):
+        batch = log_bessel_k(nu, x[order])
+        assert np.array_equal(batch, single[order])
+
+
 def test_log_value_survives_large_order_small_argument():
     ev = bessel_k(50.0, 1e-6)
     assert math.isinf(ev.value)
