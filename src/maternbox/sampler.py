@@ -25,6 +25,7 @@ from .spectral import BoundarySpec, BoxDomain, TruncationSpec, mode_system
 __all__ = ["EmpiricalCov", "FieldSample", "empirical_cov", "sample_ensemble", "sample_field"]
 
 _TWO53 = float(2 ** 53)
+_MASK64 = 2 ** 64 - 1
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,26 @@ class EmpiricalCov:
     std_error: np.ndarray
 
 
-def _standard_normals(seed: int, count: int) -> np.ndarray:
+def _standard_normals(seed: int, count: int, philox=None) -> np.ndarray:
+    """The first ``count`` normals of the stream Philox(key=seed).
+
+    ``philox`` is a Philox generator to re-key and draw from; building one
+    per draw costs more than the draw itself for small mode systems.
+    """
     from scipy.special import ndtri  # slow to import; only drawing needs it
-    raw = np.random.Philox(key=int(seed)).random_raw(count) >> 11
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError("key must be positive and less than 2**128.")
+    if philox is None:
+        philox = np.random.Philox()
+    # the state Philox(key=seed) starts in: counter 0, empty output buffer
+    philox.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([seed & _MASK64, seed >> 64], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    raw = philox.random_raw(count) >> 11
     u = (raw.astype(float) + 0.5) / _TWO53
     return ndtri(u)
 
@@ -69,8 +87,8 @@ def sample_field(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
                  bc, trunc, seed)
 
 
-def _draw(coef, modes, grid, bc, trunc, seed) -> FieldSample:
-    xi = _standard_normals(seed, coef.size)
+def _draw(coef, modes, grid, bc, trunc, seed, philox=None) -> FieldSample:
+    xi = _standard_normals(seed, coef.size, philox)
     values = (coef * xi) @ modes
     return FieldSample(grid=grid, values=values, seed=int(seed), bc=bc, trunc=trunc)
 
@@ -80,13 +98,14 @@ def sample_ensemble(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     """n samples with consecutive seeds seed, seed+1, ...
 
     Bitwise identical to calling sample_field once per seed; the mode
-    system is just built once.
+    system and one Philox generator, re-keyed per seed, are just built once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     coef, modes = _synthesis(params, bc, box, grid, trunc)
     g = np.atleast_2d(np.asarray(grid, dtype=float))
-    return [_draw(coef, modes, g, bc, trunc, seed + i) for i in range(n)]
+    philox = np.random.Philox()
+    return [_draw(coef, modes, g, bc, trunc, seed + i, philox) for i in range(n)]
 
 
 def empirical_cov(samples) -> EmpiricalCov:

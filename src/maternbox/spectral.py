@@ -15,6 +15,10 @@ two axes as a matrix product and sums the remaining axes mode by mode.
 
 Periodic complex exponentials are realized as real cosine/sine pairs with
 matching normalization, so all arithmetic stays real.
+
+Robin roots n >= 12 come from vectorized Newton steps; each is read off as
+the adjacent-float bracket that bisection to its fixed point ends at, so the
+roots are bit for bit the bisection's (see ``robin_eigen_1d``).
 """
 
 from __future__ import annotations
@@ -185,39 +189,20 @@ class RobinEigen1D:
         """Unnormalized eigenfunction values, shape (count, len(x))."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         w = self.omegas[:, None]
-        return np.cos(w * xa[None, :]) + (self.h / w) * np.sin(w * xa[None, :])
+        wx = w * xa[None, :]
+        out = np.cos(wx)
+        np.sin(wx, out=wx)
+        wx *= self.h / w
+        out += wx
+        return out
 
 
-def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
-    """Solve the 1-d Robin eigenvalue problem for the first ``count`` modes.
+# roots n > _NEWTON_FROM are found by Newton's method: their brackets lie above 32
+_NEWTON_FROM = 11
 
-    The frequency equation (a^2 - c^2) sin a = 2 c a cos a, c = h*ell, is
-    derived from u'(0) = h u(0), u'(ell) = -h u(ell); each root is bisected
-    inside its guaranteed bracket ((n-1) pi, n pi) and polished by one
-    secant step.  Norms come from the closed form
-    ||u_n||^2 = ell/2 (1 + (h/w)^2) + h/w^2, validated elsewhere against
-    quadrature.
-    """
-    h, ell_axis = float(h), float(ell_axis)
-    if not (h > 0 and ell_axis > 0):
-        raise ValueError("robin_eigen_1d needs h > 0 and ell_axis > 0")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    c = h * ell_axis
-    n = np.arange(1, count + 1, dtype=float)
-    lo = (n - 1.0) * math.pi
-    hi = n * math.pi
-    lo[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        flo, fhi = _robin_residual(lo, c), _robin_residual(hi, c)
-    if not (np.all(np.isfinite(flo)) and np.all(np.isfinite(fhi))):
-        # (h ell)^2 overflows: NaN signs would slip past the bracket check
-        raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
-    if np.any(np.sign(flo) == np.sign(fhi)):
-        i = int(np.argmax(np.sign(flo) == np.sign(fhi)))
-        raise ConvergenceError(
-            f"no sign change in Robin bracket (({i} pi, {i + 1} pi)) "
-            f"for h*ell = {c}")
+
+def _robin_bisect(lo, hi, flo, fhi, c: float):
+    """Bisect the brackets to the loop's fixed point; returns them updated."""
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         fm = _robin_residual(mid, c)
@@ -231,10 +216,155 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
         fhi = np.where(move_lo, fhi, fm)
         if np.max(hi - lo) <= 1e-15 * np.min(hi):
             break
+    return lo, hi, flo, fhi
+
+
+def _robin_newton(lo, c: float, falling):
+    """Roots of a = (n-1) pi + 2 arctan(c / a), given lo = fl((n-1) pi) > 32.
+
+    Three Newton steps on F(a) = a - lo - 2 arctan(c / a), whose slope
+    F' = 1 + 2c / (a^2 + c^2) lies in [1, 1 + 1/a] and whose curvature is
+    below 1.3 / a^2, take the start lo + pi/2 to F's root up to rounding
+    (the errors fall as pi/2, 2e-3, 2e-9, 2e-21 at a = 32).
+    F sees fl((n-1) pi), not (n-1) pi, so a last Newton step on the computed
+    residual sin(a - 2 arctan(c / a)), of slope (-1)^(n-1) F' at the root,
+    lands within a float or two of the residual's sign change.  ``falling``
+    marks the roots of even n, where that slope is negative.
+    """
+    a = lo + 0.5 * math.pi
+    f = np.empty_like(a)
+    df = np.empty_like(a)
+    for _ in range(3):
+        np.divide(c, a, out=f)
+        np.arctan(f, out=f)
+        f *= -2.0
+        f += a
+        f -= lo
+        np.multiply(a, a, out=df)
+        df += c * c
+        np.divide(2.0 * c, df, out=df)
+        df += 1.0
+        f /= df
+        a -= f
+    f = _robin_residual(a, c)
+    f /= df
+    np.negative(f, out=f, where=falling)
+    a -= f
+    return a
+
+
+def _robin_adjacent_brackets(a, lo, hi, flo, fhi, c: float):
+    """Narrow brackets to the adjacent floats around the sign change next to a.
+
+    Takes a and its neighbour float towards the sign change of the computed
+    residual.  Where the lower float has the sign of ``flo``, the upper one
+    does not, and both lie strictly inside (lo, hi), the pair and its
+    residuals are written into the bracket arrays in place.  Returns where
+    they were.
+    """
+    sign_lo = np.sign(flo)
+    fa = _robin_residual(a, c)
+    up = np.sign(fa) == sign_lo  # the sign change lies above a
+    b = np.where(up, np.inf, -np.inf)
+    np.nextafter(a, b, out=b)
+    fb = _robin_residual(b, c)
+    done = (np.sign(fb) == sign_lo) != up
+    done &= np.where(up, a, b) > lo
+    done &= np.where(up, b, a) < hi
+    down = done & ~up
+    up &= done
+    for dst, above, below in ((lo, a, b), (flo, fa, fb), (hi, b, a), (fhi, fb, fa)):
+        np.copyto(dst, above, where=up)
+        np.copyto(dst, below, where=down)
+    return done
+
+
+def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
+    """Solve the 1-d Robin eigenvalue problem for the first ``count`` modes.
+
+    The frequency equation (a^2 - c^2) sin a = 2 c a cos a, c = h*ell, is
+    derived from u'(0) = h u(0), u'(ell) = -h u(ell).  Its normalized
+    residual is sin(a - 2 arctan(c / a)), so root n lies in ((n-1) pi, n pi)
+    and solves a = (n-1) pi + 2 arctan(c / a).
+
+    The roots are those of a bisection of each bracket
+    (fl((n-1) pi), fl(n pi)) run to its fixed point, polished by one secant
+    step.  The bisection keeps the sign of the computed residual at the
+    lower end equal to its sign at fl((n-1) pi), and at the upper end
+    different; it never collapses a bracket, so it stops at an adjacent pair
+    of floats with that sign pattern.  For n >= 12 the bracket lies above
+    32 and that pair is unique: near the root the residual's slope is at
+    least 1 and its rounding error a few 2^-52, while one ulp of a is at
+    least 2^-47, so the computed residual changes sign exactly once among
+    the floats of the bracket, and every bisection path ends at the same
+    pair.  These roots are found by Newton's method instead
+    (``_robin_newton``), and the adjacent floats around the computed sign
+    change are taken as the final bracket when their signs match the
+    pattern and both lie strictly inside the bracket
+    (``_robin_adjacent_brackets``).  Roots and norms are therefore bit for
+    bit the bisection's.  Roots n < 12, and roots whose pair fails the check,
+    run through the bisection loop on that subset alone.  From count 7 on
+    the loop's relative-width stop never fires (every final width is at
+    least ulp(6 pi) = 3.6e-15 > 1e-15 pi), so each root still reaches its
+    own fixed point, and root 1 at tiny c its 90-step cap.
+
+    At tiny c a root can lie within rounding of fl((n-1) pi), where the
+    computed residual then has the wrong sign, so some bracket shows no sign
+    change and the bisection has no answer.  Roots n >= 12 whose pair fails
+    the check then take Newton's root, provided its residual is at most
+    max(1e-12, 2 ulp(a)), which a correctly rounded root meets.  Otherwise,
+    and for a bracket n < 12, ``ConvergenceError`` is raised.
+
+    Norms come from the closed form ||u_n||^2 = ell/2 (1 + (h/w)^2) + h/w^2,
+    validated elsewhere against quadrature.
+    """
+    h, ell_axis = float(h), float(ell_axis)
+    if not (h > 0 and ell_axis > 0):
+        raise ValueError("robin_eigen_1d needs h > 0 and ell_axis > 0")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
+    c = h * ell_axis
+    hi = np.arange(1, count + 1, dtype=float)
+    lo = hi - 1.0
+    lo *= math.pi
+    hi *= math.pi
+    lo[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        flo, fhi = _robin_residual(lo, c), _robin_residual(hi, c)
+    if not (np.all(np.isfinite(flo)) and np.all(np.isfinite(fhi))):
+        # (h ell)^2 overflows: NaN signs would slip past the bracket check
+        raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
+    bad = np.sign(flo) == np.sign(fhi)
+
+    def no_sign_change(i):
+        return ConvergenceError(f"no sign change in Robin bracket (({i} pi, {i + 1} pi)) "
+                                f"for h*ell = {c}")
+
+    if np.any(bad[:_NEWTON_FROM]):
+        raise no_sign_change(int(np.argmax(bad)))
+    slow = np.arange(min(count, _NEWTON_FROM))
+    kept, kept_roots = np.empty(0, dtype=int), np.empty(0)  # Newton roots kept as they are
+    if count > _NEWTON_FROM:
+        top = slice(_NEWTON_FROM, None)
+        roots = _robin_newton(lo[top], c, np.arange(_NEWTON_FROM, count) % 2 == 1)
+        done = _robin_adjacent_brackets(roots, lo[top], hi[top], flo[top], fhi[top], c)
+        miss = _NEWTON_FROM + np.flatnonzero(~done)
+        if np.any(bad):
+            kept, kept_roots = miss, roots[miss - _NEWTON_FROM]
+            resid = np.abs(_robin_residual(kept_roots, c))
+            fail = resid > np.maximum(1e-12, 2.0 * np.spacing(kept_roots))
+            if np.any(fail):
+                raise no_sign_change(int(miss[np.argmax(fail)]))
+        else:
+            slow = np.concatenate([slow, miss])
+        del roots, done  # the secant step below peaks without them
+    lo[slow], hi[slow], flo[slow], fhi[slow] = _robin_bisect(
+        lo[slow], hi[slow], flo[slow], fhi[slow], c)
     denom = fhi - flo
     secant = np.where(denom != 0.0, lo - flo * (hi - lo) / np.where(denom == 0, 1.0, denom),
                       0.5 * (lo + hi))
     alphas = np.where((secant > lo) & (secant < hi), secant, 0.5 * (lo + hi))
+    alphas[kept] = kept_roots
     omegas = alphas / ell_axis
     norms = ell_axis / 2.0 * (1.0 + (h / omegas) ** 2) + h / omegas ** 2
     return RobinEigen1D(h=h, ell_axis=ell_axis, alphas=alphas, norms=norms)
@@ -253,36 +383,40 @@ def _axis_mu_values(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
     n = 1..kmax+1.
     """
     x = np.asarray(coords, dtype=float)
-    if bc.kind == "dirichlet":
-        k = np.arange(1, kmax + 1, dtype=float)
-        mu = (math.pi * k / L) ** 2
-        vals = math.sqrt(2.0 / L) * np.sin(np.pi * np.outer(k, x) / L)
-        return mu, vals
-    if bc.kind == "neumann":
-        k = np.arange(0, kmax + 1, dtype=float)
-        mu = (math.pi * k / L) ** 2
-        amp = np.where(k == 0, math.sqrt(1.0 / L), math.sqrt(2.0 / L))
-        vals = amp[:, None] * np.cos(np.pi * np.outer(k, x) / L)
-        return mu, vals
-    if bc.kind == "periodic":
-        k = np.arange(1, kmax + 1, dtype=float)
-        mu_half = (2.0 * math.pi * k / L) ** 2
-        mu = np.empty(2 * kmax + 1)
-        mu[0] = 0.0
-        mu[1::2] = mu_half
-        mu[2::2] = mu_half
-        vals = np.empty((2 * kmax + 1, x.size))
-        vals[0] = math.sqrt(1.0 / L)
-        ang = 2.0 * np.pi * np.outer(k, x) / L
-        amp = math.sqrt(2.0 / L)
-        vals[1::2] = amp * np.cos(ang)
-        vals[2::2] = amp * np.sin(ang)
-        return mu, vals
     if bc.kind == "robin":
         eig = _robin_cached(bc.beta, L, kmax + 1)
-        mu = eig.omegas ** 2
-        vals = eig.evaluate(x) / np.sqrt(eig.norms)[:, None]
+        vals = eig.evaluate(x)
+        vals /= np.sqrt(eig.norms)[:, None]
+        return eig.omegas ** 2, vals
+    # built in place, with the operations (and bits) of
+    # amp * trig(freq * outer(k, x) / L), freq = pi or 2 pi
+    first = 0 if bc.kind == "neumann" else 1
+    k = np.arange(first, kmax + 1, dtype=float)
+    freq = 2.0 * math.pi if bc.kind == "periodic" else np.pi
+    mu = (freq * k / L) ** 2
+    amp = math.sqrt(2.0 / L)
+    if bc.kind == "periodic":
+        vals = np.empty((2 * kmax + 1, x.size))
+        ang = vals[1::2]  # the angles, then their cosines
+    else:
+        vals = ang = np.empty((k.size, x.size))
+    np.multiply.outer(k, x, out=ang)
+    ang *= freq
+    ang /= L
+    if bc.kind == "dirichlet":
+        np.sin(ang, out=ang)
+        ang *= amp
         return mu, vals
+    if bc.kind == "neumann":
+        np.cos(ang, out=ang)
+        ang *= np.where(k == 0, math.sqrt(1.0 / L), amp)[:, None]
+        return mu, vals
+    if bc.kind == "periodic":
+        np.sin(ang, out=vals[2::2])
+        np.cos(ang, out=ang)
+        vals[1:] *= amp
+        vals[0] = math.sqrt(1.0 / L)
+        return np.concatenate([[0.0], np.repeat(mu, 2)]), vals
     raise ValueError(f"unsupported boundary kind {bc.kind!r}")
 
 

@@ -139,3 +139,27 @@ def test_pinned_noise_stream():
         0, 2 ** 53, size=5, dtype=np.uint64)
     ref = ndtri((raw.astype(float) + 0.5) / 2 ** 53)
     assert np.array_equal(_standard_normals(11, 5), ref)
+
+
+def test_ensemble_rekeys_one_generator_bitwise():
+    from scipy.special import ndtri
+
+    # the noise of any seed, key words above 2^64 included, is Philox(key=seed)'s
+    for seed in (0, 11, 2 ** 64 - 1, 2 ** 64, 2 ** 127 + 3):
+        raw = np.random.Philox(key=seed).random_raw(9) >> 11
+        assert np.array_equal(_standard_normals(seed, 9),
+                              ndtri((raw.astype(float) + 0.5) / 2 ** 53))
+    # one generator re-keyed per seed draws what a fresh one per seed draws
+    p, box, pts, tr = _setup(n=4, kmax=50)
+    bc = BoundarySpec.periodic()
+    first = 2 ** 64 - 2
+    ens = sample_ensemble(p, bc, box, pts, tr, first, 4)
+    for i, s in enumerate(ens):
+        assert s.seed == first + i
+        assert np.array_equal(s.values, sample_field(p, bc, box, pts, tr, first + i).values)
+    # seeds Philox rejects are rejected with its message
+    for seed in (-1, 2 ** 128):
+        with pytest.raises(ValueError, match=r"less than 2\*\*128"):
+            sample_field(p, bc, box, pts, tr, seed)
+    with pytest.raises(ValueError, match=r"less than 2\*\*128"):
+        sample_ensemble(p, bc, box, pts, tr, 2 ** 128 - 1, 2)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from maternbox import spectral
 from maternbox.matern import derive_params, matern_cov, matern_gram
 from maternbox.specfun import ConvergenceError
 from maternbox.spectral import (
@@ -14,6 +15,7 @@ from maternbox.spectral import (
     RobinEigen1D,
     TruncationSpec,
     _robin_neumann_remainder,
+    _robin_residual,
     cov_spectral,
     cov_spectral_gram,
     eigenpair,
@@ -126,6 +128,97 @@ def test_robin_roots_bracketing_and_residuals():
             f = (a * a - c * c) * np.sin(a) - 2 * c * a * np.cos(a)
             crossings = np.sum(np.sign(f[1:]) != np.sign(f[:-1]))
             assert crossings == 1
+
+
+def _bisection_reference(h, ell, count):
+    """Bisection-only Robin roots: what the Newton roots must equal bit for bit."""
+    c = h * ell
+    n = np.arange(1, count + 1, dtype=float)
+    lo = (n - 1.0) * math.pi
+    hi = n * math.pi
+    lo[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
+    flo, fhi = _robin_residual(lo, c), _robin_residual(hi, c)
+    assert not np.any(np.sign(flo) == np.sign(fhi))
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        fm = _robin_residual(mid, c)
+        move_lo = np.sign(fm) == np.sign(flo)
+        new_lo = np.where(move_lo, mid, lo)
+        new_hi = np.where(move_lo, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+        flo = np.where(move_lo, fm, flo)
+        fhi = np.where(move_lo, fhi, fm)
+        if np.max(hi - lo) <= 1e-15 * np.min(hi):
+            break
+    denom = fhi - flo
+    secant = np.where(denom != 0.0, lo - flo * (hi - lo) / np.where(denom == 0, 1.0, denom),
+                      0.5 * (lo + hi))
+    alphas = np.where((secant > lo) & (secant < hi), secant, 0.5 * (lo + hi))
+    omegas = alphas / ell
+    norms = ell / 2.0 * (1.0 + (h / omegas) ** 2) + h / omegas ** 2
+    return alphas, norms
+
+
+def test_robin_roots_bitwise_equal_bisection(monkeypatch):
+    bisected = []
+    bisect = spectral._robin_bisect
+
+    def counting_bisect(lo, *rest):
+        bisected.append(lo.size)
+        return bisect(lo, *rest)
+
+    monkeypatch.setattr(spectral, "_robin_bisect", counting_bisect)
+    ell = 1.2
+    configs = [(bl, count) for bl in (1e-4, 1e-2, 1.0, 12.0, 1e3, 1e6)
+               for count in (1, 6, 7, 11, 12, 13, 1001)]
+    # roots near n pi, and a root 12 within an ulp of fl(11 pi), that fall
+    # back to bisection; root 1 at the 90-step cap
+    partial = [(1e16, 1001), (1e-20, 12), (1e-40, 12)]
+    for bl, count in configs + [(12.0, 100001)] + partial:
+        bisected.clear()
+        eig = robin_eigen_1d(bl / ell, ell, count)
+        alphas, norms = _bisection_reference(bl / ell, ell, count)
+        assert np.array_equal(eig.alphas, alphas), (bl, count)
+        assert np.array_equal(eig.norms, norms), (bl, count)
+        if (bl, count) in partial:
+            assert bisected[0] > 11, (bl, count, bisected)
+        else:  # n >= 12 all by Newton
+            assert bisected == [min(count, 11)], (bl, count, bisected)
+
+
+def test_robin_roots_off_their_pair_are_bisected(monkeypatch):
+    newton = spectral._robin_newton
+
+    def off_by_three_floats(lo, c, falling):
+        a = newton(lo, c, falling)
+        a[::3] += 3.0 * np.spacing(a[::3])
+        a[1::3] -= 3.0 * np.spacing(a[1::3])
+        return a
+
+    monkeypatch.setattr(spectral, "_robin_newton", off_by_three_floats)
+    for bl, count in ((1e-3, 200), (12.0, 1001), (1e6, 200)):
+        eig = robin_eigen_1d(bl / 1.2, 1.2, count)
+        alphas, norms = _bisection_reference(bl / 1.2, 1.2, count)
+        assert np.array_equal(eig.alphas, alphas), (bl, count)
+        assert np.array_equal(eig.norms, norms), (bl, count)
+
+
+def test_robin_roots_for_tiny_beta_and_many_modes():
+    # a root within rounding of fl((n-1) pi) leaves its bracket without a
+    # computed sign change; Newton's root stands in for roots n >= 12
+    for bl, count in ((1.2e-6, 120002), (1e-6, 100001), (1e-9, 10001), (1e-30, 1000)):
+        eig = robin_eigen_1d(bl / 1.2, 1.2, count)
+        a = eig.alphas
+        n = np.arange(1, count + 1)
+        assert np.all(np.diff(a) > 0)
+        assert np.all(a[1:] >= np.nextafter((n[1:] - 1) * math.pi, -np.inf))
+        assert np.all(a <= np.nextafter(n * math.pi, np.inf))
+        limit = np.maximum(1e-12, 2.0 * np.spacing(a))
+        assert np.all(np.abs(eig.eigenvalue_residual()) <= limit)
+        with pytest.raises(AssertionError):  # the bisection alone has no answer
+            _bisection_reference(bl / 1.2, 1.2, count)
 
 
 def test_robin_limits():
