@@ -39,12 +39,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "run the full identity suite and report pass/fail lines"),
     ):
         p = sub.add_parser(verb, help=help_text)
-        p.add_argument("--config", type=str, default=None,
-                       help="path to the key=value config file")
         p.add_argument("--out", type=str, default="-",
                        help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if verb in _TABLE_VERBS:
+            p.add_argument("--config", type=str, default=None,
+                           help="path to the key=value config file")
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
     return parser
 
 

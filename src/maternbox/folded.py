@@ -21,7 +21,8 @@ the ``math.fsum`` of the row, bit for bit.  The tail adds, over the
 reflection families, the remainder at that family's largest pair
 separation, so a one-point Gram certifies exactly what the pair function
 does.  The default radius is the smallest whose tail, that same
-per-family sum, meets the tolerance.
+per-family sum, meets the tolerance.  Points (``matern.as_points``) may lie
+outside the box: a periodic sum takes any finite point.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .matern import MaternParams, decay_factor, unit_matern
+from .matern import MaternParams, as_points, check_dimension, decay_factor, unit_matern
 
 if TYPE_CHECKING:
     from .spectral import BoxDomain
@@ -108,11 +109,12 @@ def _lattice_shell(d: int, j: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _families(kind: str, box: BoxDomain):
+def _families(params: MaternParams, box: BoxDomain, kind: str):
     """Reflection signs (F, d), identity first, and per-axis periods.
 
     Periodic: the identity with periods L; Neumann, Dirichlet: all 2^d with 2L.
     """
+    check_dimension(params, box)
     lengths = np.asarray(box.lengths, dtype=float)
     if kind == "periodic":
         return np.ones((1, box.d)), lengths
@@ -176,10 +178,13 @@ class _Tails:
 
 def _family_tails(params: MaternParams, box: BoxDomain, bc: str, separation_inf) -> _Tails:
     """Tails at one separation per reflection family, or one for all; None: the largest period."""
-    families, periods = _families(bc, box)
+    families, periods = _families(params, box, bc)
     if separation_inf is None:
         separation_inf = periods.max()
     seps = np.broadcast_to(np.asarray(separation_inf, dtype=float), (len(families),))
+    # below 0 the tail bounds no pair; at inf no shell is left to close the sum at
+    if not np.all(np.isfinite(seps) & (seps >= 0)):
+        raise ValueError(f"separation_inf must be finite and >= 0, got {separation_inf!r}")
     return _Tails(params, float(periods.min()), seps)
 
 
@@ -213,14 +218,6 @@ def pick_radius(params: MaternParams, box: BoxDomain, bc: str = "periodic", *,
     raise ValueError(
         f"no radius up to {_MAX_RADIUS} certifies a tail below {tol}; "
         "pass an explicit radius")
-
-
-def _pair(x, y, d: int) -> np.ndarray:
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    if xv.shape != (d,) or yv.shape != (d,):
-        raise ValueError(f"points must be vectors of length {d}")
-    return np.vstack([xv, yv])
 
 
 def _row_fsums(values: np.ndarray, inv: np.ndarray, counts: np.ndarray, row: np.ndarray,
@@ -311,7 +308,7 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     default radius is the smallest this tail certifies.
     """
     d = params.d
-    eps, periods = _families(kind, box)
+    eps, periods = _families(params, box, kind)
     i, j = (np.asarray(idx, dtype=int) for idx in pairs)
     u = np.abs(pts[i] - eps[:, None, :] * pts[j])  # (families, pairs, d)
     seps = u.max(axis=(1, 2))
@@ -359,8 +356,8 @@ def cov_folded_dirichlet(params: MaternParams, box: BoxDomain, x, y,
 def cov_folded(params: MaternParams, box: BoxDomain, kind: str, x, y,
                radius: int | None = None) -> ImageSum:
     """Folded covariance for a Dirichlet/Neumann/periodic boundary."""
-    vals, radius, tail = _image_sums(params, box, kind, _pair(x, y, params.d),
-                                     ([0], [1]), radius)
+    pair = np.concatenate([as_points(x, params.d, 1, "x"), as_points(y, params.d, 1, "y")])
+    vals, radius, tail = _image_sums(params, box, kind, pair, ([0], [1]), radius)
     return ImageSum(radius=radius, value=float(vals[0]), tail_bound=tail)
 
 
@@ -380,9 +377,7 @@ def cov_folded_gram(params: MaternParams, box: BoxDomain, kind: str, points,
     summing the non-identity images avoids the cancellation that otherwise
     floors tiny errors at the resolution of O(sigma^2) values.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != params.d:
-        raise ValueError(f"points must have shape (n, {params.d})")
+    pts = as_points(points, params.d)
     n = pts.shape[0]
     iu = np.triu_indices(n)
     vals, _, tail = _image_sums(params, box, kind, pts, iu, radius, drop_identity)

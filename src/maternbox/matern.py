@@ -4,6 +4,8 @@ The kernel is sigma^2 * M_nu(kappa * r) with the unit function
 M_nu(t) = t^nu K_nu(t) / (2^(nu-1) Gamma(nu)), kappa = sqrt(2 nu) / rho.
 Everything funnels through a log-space evaluation of M_nu so that large
 smoothness orders (nu = 50 and beyond) neither overflow nor lose digits.
+Every entry point that takes points reads them through ``as_points``, and
+every one that takes a kernel and a box matches them by ``check_dimension``.
 """
 
 from __future__ import annotations
@@ -86,18 +88,41 @@ def unit_matern(nu: float, t):
     return float(out[0]) if squeeze else out
 
 
+def as_points(points, d: int, n: int | None = None, name: str = "points") -> np.ndarray:
+    """The points as a finite float array of shape (n, d), n >= 1, else ``ValueError``.
+
+    1-D input is n points when d = 1 and one point otherwise; ``n``, when
+    given, is the required count (1 for each point of a pair).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None] if d == 1 else pts[None, :]
+    if (pts.ndim != 2 or pts.shape[1] != d or pts.shape[0] == 0
+            or n is not None and pts.shape[0] != n):
+        want = f"(n, {d}) with n >= 1" if n is None else f"({n}, {d})"
+        raise ValueError(f"{name} must have shape {want}, got shape {np.shape(points)}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {pts[~finite][0]}")
+    return pts
+
+
+def check_dimension(params: MaternParams, box) -> None:
+    """Raise ``ValueError`` unless the kernel and the box have the same dimension."""
+    if params.d != box.d:
+        raise ValueError(f"kernel dimension {params.d} does not match box dimension {box.d}")
+
+
 def matern_cov(params: MaternParams, x, y) -> float:
     """Covariance sigma^2 M_nu(kappa ||x - y||_2) between two points."""
-    dx = _as_point(x, params.d) - _as_point(y, params.d)
+    dx = as_points(x, params.d, 1, "x")[0] - as_points(y, params.d, 1, "y")[0]
     r = math.sqrt(float(np.dot(dx, dx)))
     return params.sigma2 * unit_matern(params.nu, params.kappa * r)
 
 
 def matern_gram(params: MaternParams, points) -> np.ndarray:
     """Kernel matrix over a point set, with deduplicated Bessel evaluations."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != params.d:
-        raise ValueError(f"points must have shape (n, {params.d})")
+    pts = as_points(points, params.d)
     diff = pts[:, None, :] - pts[None, :, :]
     r = np.sqrt(np.sum(diff * diff, axis=2))
     uniq, inv = np.unique(r.ravel(), return_inverse=True)
@@ -153,7 +178,7 @@ def matern_cov_aniso(sigma2: float, nu: float, metric: AnisoMetric, x, y) -> flo
     """Anisotropic covariance sigma^2 M_nu(sqrt(2 nu) ||x - y||_{Theta^-1})."""
     if not (sigma2 > 0 and nu > 0):
         raise ValueError("sigma2 and nu must be positive")
-    dx = _as_point(x, metric.d) - _as_point(y, metric.d)
+    dx = as_points(x, metric.d, 1, "x")[0] - as_points(y, metric.d, 1, "y")[0]
     t = math.sqrt(2.0 * nu) * metric.metric_distance(dx)
     return float(sigma2) * unit_matern(nu, t)
 
@@ -191,9 +216,3 @@ def radiation_residual(nu: float, kappa: float, r) -> float:
     out = kappa * np.sqrt(t) * (knu - knum1)
     return float(out[0]) if squeeze else out
 
-
-def _as_point(x, d: int) -> np.ndarray:
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.shape != (d,):
-        raise ValueError(f"expected a point in R^{d}, got shape {p.shape}")
-    return p

@@ -10,7 +10,8 @@ keyed by the seed; each mode consumes the top 53 bits of one 64-bit draw,
 u = (n + 1/2) * 2^-53 in (0, 1), mapped through the inverse normal CDF.
 Modes are ordered exactly as in the spectral mode system (axis 0 slowest).
 Distinct seeds are independent streams, so samples can be generated in
-parallel with no shared state.
+parallel with no shared state.  ``sample_field`` is the one-draw
+ensemble; grids (``matern.as_points``) must lie in the closed box.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matern import MaternParams
+from .matern import MaternParams, as_points
 from .spectral import BoundarySpec, BoxDomain, TruncationSpec, mode_system
 
 __all__ = ["EmpiricalCov", "FieldSample", "empirical_cov", "sample_ensemble", "sample_field"]
@@ -48,18 +49,12 @@ class EmpiricalCov:
     std_error: np.ndarray
 
 
-def _standard_normals(seed: int, count: int, philox=None) -> np.ndarray:
-    """The first ``count`` normals of the stream Philox(key=seed).
+def _standard_normals(philox: np.random.Philox, seed: int, count: int) -> np.ndarray:
+    """The first ``count`` normals of the stream Philox(key=seed), from ``philox`` re-keyed.
 
-    ``philox`` is a Philox generator to re-key and draw from; building one
-    per draw costs more than the draw itself for small mode systems.
+    Re-keying one generator costs less than building one per draw.
     """
     from scipy.special import ndtri  # slow to import; only drawing needs it
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 128:
-        raise ValueError("key must be positive and less than 2**128.")
-    if philox is None:
-        philox = np.random.Philox()
     # the state Philox(key=seed) starts in: counter 0, empty output buffer
     philox.state = {
         "bit_generator": "Philox",
@@ -72,40 +67,32 @@ def _standard_normals(seed: int, count: int, philox=None) -> np.ndarray:
     return ndtri(u)
 
 
-def _synthesis(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
-               grid, trunc: TruncationSpec):
-    lam, modes = mode_system(params, bc, box, grid, trunc)
-    coef = np.sqrt(params.eta2) * lam ** (-params.alpha / 2.0)
-    return coef, modes
-
-
 def sample_field(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
                  grid, trunc: TruncationSpec, seed: int) -> FieldSample:
     """Draw one field sample; deterministic in (seed, params, bc, box, trunc, grid)."""
-    coef, modes = _synthesis(params, bc, box, grid, trunc)
-    return _draw(coef, modes, np.atleast_2d(np.asarray(grid, dtype=float)),
-                 bc, trunc, seed)
-
-
-def _draw(coef, modes, grid, bc, trunc, seed, philox=None) -> FieldSample:
-    xi = _standard_normals(seed, coef.size, philox)
-    values = (coef * xi) @ modes
-    return FieldSample(grid=grid, values=values, seed=int(seed), bc=bc, trunc=trunc)
+    return sample_ensemble(params, bc, box, grid, trunc, seed, 1)[0]
 
 
 def sample_ensemble(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
                     grid, trunc: TruncationSpec, seed: int, n: int):
     """n samples with consecutive seeds seed, seed+1, ...
 
-    Bitwise identical to calling sample_field once per seed; the mode
-    system and one Philox generator, re-keyed per seed, are just built once.
+    The mode system and one Philox generator, re-keyed per seed, are built
+    once; seeds lie in [0, 2^128), Philox's key range.  Each sample's grid
+    is the grid as ``matern.as_points`` reads it, of shape (points, d).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coef, modes = _synthesis(params, bc, box, grid, trunc)
-    g = np.atleast_2d(np.asarray(grid, dtype=float))
+    seed = int(seed)
+    if not (0 <= seed and seed + n <= 2 ** 128):
+        raise ValueError("key must be positive and less than 2**128.")
+    lam, modes = mode_system(params, bc, box, grid, trunc)
+    grid = as_points(grid, box.d)
+    coef = np.sqrt(params.eta2) * lam ** (-params.alpha / 2.0)
     philox = np.random.Philox()
-    return [_draw(coef, modes, g, bc, trunc, seed + i, philox) for i in range(n)]
+    return [FieldSample(grid=grid, values=(coef * _standard_normals(philox, s, coef.size)) @ modes,
+                        seed=s, bc=bc, trunc=trunc)
+            for s in range(seed, seed + n)]
 
 
 def empirical_cov(samples) -> EmpiricalCov:

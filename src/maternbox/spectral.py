@@ -18,7 +18,8 @@ matching normalization, so all arithmetic stays real.
 
 Robin roots n >= 12 come from vectorized Newton steps; each is read off as
 the adjacent-float bracket that bisection to its fixed point ends at, so the
-roots are bit for bit the bisection's (see ``robin_eigen_1d``).
+roots are bit for bit the bisection's (see ``robin_eigen_1d``).  Points
+(``matern.as_points``) must lie in the closed box.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .folded import cov_folded_gram
-from .matern import MaternParams
+from .matern import MaternParams, as_points, check_dimension
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -180,10 +181,9 @@ class RobinEigen1D:
     def omegas(self) -> np.ndarray:
         return self.alphas / self.ell_axis
 
-    def eigenvalue_residual(self, alphas=None) -> np.ndarray:
+    def eigenvalue_residual(self) -> np.ndarray:
         """Normalized residual of the frequency equation at the roots."""
-        a = self.alphas if alphas is None else np.asarray(alphas, dtype=float)
-        return _robin_residual(a, self.h * self.ell_axis)
+        return _robin_residual(self.alphas, self.h * self.ell_axis)
 
     def evaluate(self, x) -> np.ndarray:
         """Unnormalized eigenfunction values, shape (count, len(x))."""
@@ -452,10 +452,7 @@ def eigenpair(bc: BoundarySpec, k, box: BoxDomain, kappa: float):
     lam = 1.0 + mu_total / float(kappa) ** 2
 
     def w_fn(point):
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if p.shape[-1] != box.d and box.d == 1:
-            p = p.reshape(-1, 1)
-        p = np.atleast_2d(p)
+        p = as_points(point, box.d)
         out = np.ones(p.shape[0])
         for i, (L, kmax, row) in enumerate(rows):
             out = out * _axis_mu_values(bc, L, kmax, p[:, i])[1][row]
@@ -478,6 +475,7 @@ def spectral_tail_bound(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
+    check_dimension(params, box)
     d = box.d
     amp = 1.0
     for L in box.lengths:
@@ -501,12 +499,10 @@ def spectral_tail_bound(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     return params.eta2 * amp * mult * total
 
 
-def _check_points(points, box: BoxDomain) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None] if box.d == 1 else pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != box.d:
-        raise ValueError(f"points must have shape (n, {box.d}), got {pts.shape}")
+def _check_points(params: MaternParams, box: BoxDomain, points) -> np.ndarray:
+    """The points as ``as_points`` reads them, checked to lie in the closed box."""
+    check_dimension(params, box)
+    pts = as_points(points, box.d)
     for i, L in enumerate(box.lengths):
         if np.any(pts[:, i] < -1e-12) or np.any(pts[:, i] > L + 1e-12):
             raise ValueError(f"points must lie in the closed box, axis {i} "
@@ -556,7 +552,7 @@ def plain_spectral_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     the covariance of the fields the sampler draws from the modes of
     ``mode_system``.  No tail: ``cov_spectral_gram`` certifies the error.
     """
-    return _plain_gram(params, bc, box, _check_points(points, box), trunc.kmax)
+    return _plain_gram(params, bc, box, _check_points(params, box, points), trunc.kmax)
 
 
 def _robin_neumann_remainder(params: MaternParams, beta: float, L: float,
@@ -644,7 +640,7 @@ def cov_spectral_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     would not shrink the remainder.  The samplers draw from the plain sum;
     ``plain_spectral_gram`` and ``mode_system`` give it.
     """
-    pts = _check_points(points, box)
+    pts = _check_points(params, box, points)
     kmax = trunc.kmax
     gram = _plain_gram(params, bc, box, pts, kmax)
     tail = spectral_tail_bound(params, bc, box, kmax)
@@ -668,8 +664,7 @@ def cov_spectral(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     The pair's entry of ``cov_spectral_gram``: the plain truncated sum, or
     for Robin in d = 1 the Neumann-accelerated sum where its tail is smaller.
     """
-    pts = np.vstack([np.atleast_1d(np.asarray(x, dtype=float)),
-                     np.atleast_1d(np.asarray(y, dtype=float))])
+    pts = np.concatenate([as_points(x, box.d, 1, "x"), as_points(y, box.d, 1, "y")])
     gram, _ = cov_spectral_gram(params, bc, box, pts, trunc)
     return float(gram[0, 1])
 
@@ -684,7 +679,7 @@ def mode_system(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     the axis builder).  Intended for sampling; memory grows like the product
     of per-axis mode counts.
     """
-    pts = _check_points(points, box)
+    pts = _check_points(params, box, points)
     kmax = trunc.kmax
     axes = [_axis_mu_values(bc, box.lengths[i], kmax, pts[:, i])
             for i in range(box.d)]

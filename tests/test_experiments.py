@@ -314,6 +314,16 @@ def test_cli_reports_robin_root_failure(tmp_path):
     assert "RuntimeWarning" not in res.stderr
 
 
+def test_verify_takes_no_config_or_seed(capsys):
+    from maternbox.cli import main
+
+    for extra in (["--seed", "3"], ["--config", "cfg.txt"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"] + extra)
+        assert exc.value.code != 0
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_bound_table(tmp_path):
     cfg = load_config(_write_cfg(tmp_path, BASE_CFG))
     table = run_bound_table(cfg)
