@@ -208,13 +208,20 @@ def pick_radius(params: MaternParams, box: BoxDomain, bc: str = "periodic", *,
 
     ``separation_inf`` as in ``image_tail_bound``, by default the largest
     period; each candidate's tail is the one ``image_tail_bound`` returns.
+
+    A separation of at least fl((_MAX_RADIUS + 1) * period_min) fails at
+    once when tol < 2 sigma^2: every candidate radius R then has shell R + 1
+    at a nonpositive distance, which reads 1 with weight >= 2, so every
+    tail is at least 2 sigma^2.
     """
     if tol is None:
         tol = _DEFAULT_TAIL_FACTOR * params.sigma2
     tails = _family_tails(params, box, bc, separation_inf)
-    for radius in range(1, _MAX_RADIUS + 1):
-        if tails(radius) <= tol:
-            return radius
+    unclosable = np.any(tails.seps >= (_MAX_RADIUS + 1) * tails.period_min)
+    if not (unclosable and tol < 2.0 * params.sigma2):
+        for radius in range(1, _MAX_RADIUS + 1):
+            if tails(radius) <= tol:
+                return radius
     raise ValueError(
         f"no radius up to {_MAX_RADIUS} certifies a tail below {tol}; "
         "pass an explicit radius")

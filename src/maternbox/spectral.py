@@ -10,8 +10,13 @@ exposes the per-mode system of the plain sum used by the sampler.
 
 One per-axis mode table (``_axis_mu_values``) serves every route: the
 modal sums, ``mode_system`` and ``eigenpair`` read their eigenvalues and
-mode values from its rows.  In d >= 2 the modal sum contracts the first
-two axes as a matrix product and sums the remaining axes mode by mode.
+mode values from its rows.  In d >= 2 each axis forms its pair-product
+columns w(x) w(y) once per distinct unordered coordinate pair and sums the
+modes that share an eigenvalue (periodic cos_k and sin_k) into one row;
+the modal sum contracts the first two axes as a matrix product over those
+distinct columns, one row and column per eigenvalue, gathers each Gram
+pair's columns by index, and sums the remaining axes eigenvalue by
+eigenvalue (``_axis_pair_columns``).
 
 Periodic complex exponentials are realized as real cosine/sine pairs with
 matching normalization, so all arithmetic stays real.
@@ -324,13 +329,14 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     c = h * ell_axis
-    hi = np.arange(1, count + 1, dtype=float)
-    lo = hi - 1.0
-    lo *= math.pi
-    hi *= math.pi
-    lo[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
+    # bracket n runs from ends[n] to ends[n + 1]: lo[n] = hi[n - 1] = fl(n pi)
+    ends = np.arange(count + 1, dtype=float)
+    ends *= math.pi
+    ends[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        flo, fhi = _robin_residual(lo, c), _robin_residual(hi, c)
+        f_ends = _robin_residual(ends, c)
+    # copies: the brackets are narrowed in place below
+    lo, hi, flo, fhi = ends[:-1].copy(), ends[1:], f_ends[:-1].copy(), f_ends[1:]
     if not (np.all(np.isfinite(flo)) and np.all(np.isfinite(fhi))):
         # (h ell)^2 overflows: NaN signs would slip past the bracket check
         raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
@@ -510,33 +516,55 @@ def _check_points(params: MaternParams, box: BoxDomain, points) -> np.ndarray:
     return pts
 
 
+def _axis_pair_columns(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray,
+                       iu) -> tuple:
+    """One axis of the d >= 2 modal sum: (mu, G, col).
+
+    G[:, c] holds the products w(x) w(y) of the axis modes, summed over each
+    group of modes that share an eigenvalue mu (periodic cos_k and sin_k),
+    for the c-th distinct unordered pair of coordinates.  Gram pair p,
+    (iu[0][p], iu[1][p]), reads column col[p].
+    """
+    xs, inv = np.unique(coords, return_inverse=True)
+    a, b = inv[iu[0]], inv[iu[1]]
+    pairs, col = np.unique(np.minimum(a, b) * xs.size + np.maximum(a, b),
+                           return_inverse=True)
+    mu, V = _axis_mu_values(bc, L, kmax, xs)
+    G = V[:, pairs // xs.size] * V[:, pairs % xs.size]
+    if bc.kind == "periodic":  # [const, sin_1 + cos_1, ..., sin_kmax + cos_kmax]
+        G[2::2] += G[1::2]
+        return mu[::2], G[::2], col
+    return mu, G, col
+
+
 def _plain_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
                 pts: np.ndarray, kmax: int) -> np.ndarray:
     """The truncated modal sum itself, contracted axis by axis."""
     n = pts.shape[0]
     kappa2 = params.kappa ** 2
     alpha = params.alpha
-    axes = [_axis_mu_values(bc, box.lengths[i], kmax, pts[:, i])
-            for i in range(box.d)]
     if box.d == 1:
-        mu, V = axes[0]
+        mu, V = _axis_mu_values(bc, box.lengths[0], kmax, pts[:, 0])
         w = params.eta2 * (1.0 + mu / kappa2) ** (-alpha)
         return V.T @ (w[:, None] * V)
     iu = np.triu_indices(n)
-    G = [V[:, iu[0]] * V[:, iu[1]] for _, V in axes]
-    mu1, mu2 = axes[0][0][:, None], axes[1][0][None, :]
+    axes = [_axis_pair_columns(bc, box.lengths[i], kmax, pts[:, i], iu)
+            for i in range(box.d)]
+    (mu1, G1, col1), (mu2, G2, col2) = axes[:2]
+    G1 = G1[:, col1]
     vals = np.zeros(iu[0].size)
-    # axes 1 and 2 contracted as a matrix product, axes 3.. summed mode by mode
-    for idx in product(*(range(mu.size) for mu, _ in axes[2:])):
+    # axes 1 and 2 contracted as a matrix product over their distinct
+    # columns, axes 3.. summed eigenvalue by eigenvalue
+    for idx in product(*(range(mu.size) for mu, _, _ in axes[2:])):
         # eta2 (1 + mu / kappa2)^(-alpha) in place: one (m1, m2) array at a time
-        W = mu1 + mu2 + sum(mu[c] for (mu, _), c in zip(axes[2:], idx))
+        W = mu1[:, None] + mu2[None, :] + sum(mu[c] for (mu, _, _), c in zip(axes[2:], idx))
         W /= kappa2
         W += 1.0
         W **= -alpha
         W *= params.eta2
-        term = np.einsum("ip,ip->p", G[0], W @ G[1])
-        for g, c in zip(G[2:], idx):
-            term = term * g[c]
+        term = np.einsum("ip,ip->p", G1, (W @ G2)[:, col2])
+        for (_, g, col), c in zip(axes[2:], idx):
+            term *= g[c, col]
         vals += term
     gram = np.empty((n, n))
     gram[iu] = vals

@@ -393,6 +393,27 @@ def test_pick_radius_equals_per_radius_tail_loop():
         pick_radius(p, box, "neumann", tol=1e-300)
 
 
+def test_pick_radius_fails_fast_on_unclosable_separation():
+    import time
+
+    p = derive_params(1.0, 0.1, 1.0, 1)
+    box = BoxDomain.cubic(0.2, 1.0, 1)
+    # a separation of 129 periods leaves every candidate's shell R + 1 at
+    # distance <= 0, so each tail is at least 2 sigma^2
+    sep = 129 * box.length_max
+    for radius in (1, 64, 128):
+        assert _reference_tail(p, box, "periodic", [sep], radius) >= 2.0 * p.sigma2
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^no radius up to 128 certifies"):
+        cov_folded_periodic(p, box, [0.1], [1e5])
+    assert time.perf_counter() - start < 0.1  # was seconds: one shell table per 48 shells
+    for s in (sep, 1e300):
+        with pytest.raises(ValueError, match=r"^no radius up to 128 certifies"):
+            pick_radius(p, box, "periodic", separation_inf=s)
+    # a tolerance of 2 sigma^2 or more is still searched
+    assert pick_radius(p, box, "periodic", separation_inf=sep, tol=1e300) == 1
+
+
 def _reference_tail(p, box, kind, seps, radius):
     # the per-radius tail in its direct form: one kernel call over the live
     # shells of this radius only, the decay factor evaluated here

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from maternbox import sampler
 from maternbox.matern import derive_params
 from maternbox.sampler import (
     EmpiricalCov,
@@ -18,6 +19,7 @@ from maternbox.spectral import (
     BoxDomain,
     TruncationSpec,
     cov_spectral_gram,
+    mode_system,
     plain_spectral_gram,
 )
 
@@ -54,7 +56,7 @@ def test_single_mode_field_is_scaled_constant():
     p, box, pts, tr = _setup(kmax=600)
     s = sample_field(p, BoundarySpec.neumann(), box, pts, TruncationSpec(0), 7)
     L = box.lengths[0]
-    xi0 = _standard_normals(np.random.Philox(), 7, 1)[0]
+    xi0 = _standard_normals(np.random.Philox(), [7], 1)[0, 0]
     expected = np.sqrt(p.eta2) * 1.0 ** (-p.alpha / 2) * L ** (-0.5) * xi0
     assert np.allclose(s.values, expected, rtol=1e-14)
     assert np.ptp(s.values) == 0.0
@@ -138,17 +140,20 @@ def test_pinned_noise_stream():
     raw = np.random.Generator(np.random.Philox(key=11)).integers(
         0, 2 ** 53, size=5, dtype=np.uint64)
     ref = ndtri((raw.astype(float) + 0.5) / 2 ** 53)
-    assert np.array_equal(_standard_normals(np.random.Philox(), 11, 5), ref)
+    assert np.array_equal(_standard_normals(np.random.Philox(), [11], 5), ref[None, :])
 
 
 def test_ensemble_rekeys_one_generator_bitwise():
     from scipy.special import ndtri
 
-    # the noise of any seed, key words above 2^64 included, is Philox(key=seed)'s
-    for seed in (0, 11, 2 ** 64 - 1, 2 ** 64, 2 ** 127 + 3):
+    # the noise of any seed, key words above 2^64 included, is Philox(key=seed)'s,
+    # row by row of one block
+    seeds = (0, 11, 2 ** 64 - 1, 2 ** 64, 2 ** 127 + 3)
+    block = _standard_normals(np.random.Philox(), seeds, 9)
+    assert block.shape == (len(seeds), 9)
+    for seed, row in zip(seeds, block):
         raw = np.random.Philox(key=seed).random_raw(9) >> 11
-        assert np.array_equal(_standard_normals(np.random.Philox(), seed, 9),
-                              ndtri((raw.astype(float) + 0.5) / 2 ** 53))
+        assert np.array_equal(row, ndtri((raw.astype(float) + 0.5) / 2 ** 53))
     # one generator re-keyed per seed draws what a fresh one per seed draws
     p, box, pts, tr = _setup(n=4, kmax=50)
     bc = BoundarySpec.periodic()
@@ -163,3 +168,35 @@ def test_ensemble_rekeys_one_generator_bitwise():
             sample_field(p, bc, box, pts, tr, seed)
     with pytest.raises(ValueError, match=r"less than 2\*\*128"):
         sample_ensemble(p, bc, box, pts, tr, 2 ** 128 - 1, 2)
+
+
+def _per_draw_reference(p, bc, box, pts, tr, seed):
+    # one draw on its own: (coef * normals(seed)) @ modes, the normals read
+    # straight off a fresh Philox(key=seed)
+    from scipy.special import ndtri
+
+    lam, modes = mode_system(p, bc, box, pts, tr)
+    coef = np.sqrt(p.eta2) * lam ** (-p.alpha / 2.0)
+    raw = np.random.Philox(key=seed).random_raw(coef.size) >> 11
+    return (coef * ndtri((raw.astype(float) + 0.5) / 2 ** 53)) @ modes
+
+
+@pytest.mark.parametrize("n", [1, sampler._BLOCK - 1, sampler._BLOCK, sampler._BLOCK + 1])
+def test_block_draws_equal_per_draw_reference(n):
+    p, box, pts, tr = _setup(n=6, kmax=40)
+    bc = BoundarySpec.periodic()
+    ens = sample_ensemble(p, bc, box, pts, tr, 900, n)
+    assert len(ens) == n
+    for i, s in enumerate(ens):
+        assert s.seed == 900 + i
+        assert np.array_equal(s.values, _per_draw_reference(p, bc, box, pts, tr, 900 + i))
+
+
+def test_blocks_capped_by_noise_values(monkeypatch):
+    # a mode system too large for _BLOCK draws at once runs in smaller blocks
+    p, box, pts, tr = _setup(d=2, n=3, kmax=8)
+    bc = BoundarySpec.dirichlet()
+    monkeypatch.setattr(sampler, "_BLOCK_VALUES", 3 * 8 ** 2 + 5)
+    ens = sample_ensemble(p, bc, box, pts, tr, 40, 7)
+    for i, s in enumerate(ens):
+        assert np.array_equal(s.values, _per_draw_reference(p, bc, box, pts, tr, 40 + i))

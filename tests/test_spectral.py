@@ -19,6 +19,7 @@ from maternbox.spectral import (
     cov_spectral,
     cov_spectral_gram,
     eigenpair,
+    mode_system,
     plain_spectral_gram,
     robin_eigen_1d,
     spectral_tail_bound,
@@ -493,3 +494,27 @@ def test_spectral_equals_folded_rectangular_box():
                                         TruncationSpec(900))
         fold, ftail = cov_folded_gram(p, rect, kind, pts)
         assert np.max(np.abs(spec - fold)) <= 1e-6 + stail + ftail, kind
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic", "robin"])
+def test_modal_gram_matches_mode_by_mode_sum(d, kind):
+    # the contraction over distinct pair columns and eigenvalue groups
+    # against eta^2 sum_k lambda_k^(-alpha) w_k(x) w_k(y) over the explicit modes
+    p = derive_params(1.0, 0.2, 1.0, d)
+    bc = BoundarySpec(kind, 2.5 if kind == "robin" else None)
+    tr = TruncationSpec(30 if d == 2 else 6)
+    rng = np.random.default_rng(d)
+    for box in (BoxDomain.cubic(0.2, 1.0, d),
+                BoxDomain(delta=0.2, ell=1.0, lengths=(1.2, 1.7, 1.45)[:d], d=d)):
+        lengths = np.asarray(box.lengths)
+        ax = np.linspace(0.0, 1.2, 4 if d == 2 else 3)  # boundary and repeated coordinates
+        grid = np.stack([a.ravel() for a in np.meshgrid(*[ax] * d, indexing="ij")], axis=-1)
+        scattered = rng.uniform(0.0, 1.0, (10, d)) * lengths
+        mixed = np.concatenate([grid[:5], scattered[:4], grid[2:3]])  # a repeated point
+        for pts in (grid, scattered, mixed):
+            lam, W = mode_system(p, bc, box, pts, tr)
+            ref = W.T @ (p.eta2 * lam[:, None] ** (-p.alpha) * W)
+            got = plain_spectral_gram(p, bc, box, pts, tr)
+            assert np.array_equal(got, got.T)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), box.lengths
