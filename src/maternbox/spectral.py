@@ -10,21 +10,25 @@ exposes the per-mode system of the plain sum used by the sampler.
 
 One per-axis mode table (``_axis_mu_values``) serves every route: the
 modal sums, ``mode_system`` and ``eigenpair`` read their eigenvalues and
-mode values from its rows.  In d >= 2 each axis forms its pair-product
-columns w(x) w(y) once per distinct unordered coordinate pair and sums the
-modes that share an eigenvalue (periodic cos_k and sin_k) into one row;
-the modal sum contracts the first two axes as a matrix product over those
-distinct columns, one row and column per eigenvalue, gathers each Gram
-pair's columns by index, and sums the remaining axes eigenvalue by
-eigenvalue (``_axis_pair_columns``).
+mode values from its rows.  Its D/N/P rows take trig at O(n sqrt(kmax))
+anchor and offset angles only and combine them by angle addition.  In
+d >= 2 each axis forms its pair-product columns w(x) w(y) once per
+distinct unordered coordinate pair and sums the modes that share an
+eigenvalue (periodic cos_k and sin_k) into one row; the modal sum
+contracts the first two axes as a matrix product over those distinct
+columns, one row and column per eigenvalue, gathers each Gram pair's
+columns by index, and sums the remaining axes eigenvalue by eigenvalue
+(``_axis_pair_columns``).
 
 Periodic complex exponentials are realized as real cosine/sine pairs with
 matching normalization, so all arithmetic stays real.
 
 Robin roots n >= 12 come from vectorized Newton steps; each is read off as
 the adjacent-float bracket that bisection to its fixed point ends at, so the
-roots are bit for bit the bisection's (see ``robin_eigen_1d``).  Points
-(``matern.as_points``) must lie in the closed box.
+roots are bit for bit the bisection's (see ``robin_eigen_1d``).  Where a
+bracket shows no computed sign change (tiny or huge beta L), Newton's root
+stands in if it passes a residual check.  Points (``matern.as_points``)
+must lie in the closed box.
 """
 
 from __future__ import annotations
@@ -225,7 +229,7 @@ def _robin_bisect(lo, hi, flo, fhi, c: float):
 
 
 def _robin_newton(lo, c: float, falling):
-    """Roots of a = (n-1) pi + 2 arctan(c / a), given lo = fl((n-1) pi) > 32.
+    """Roots of a = (n-1) pi + 2 arctan(c / a), given lo = fl((n-1) pi).
 
     Three Newton steps on F(a) = a - lo - 2 arctan(c / a), whose slope
     F' = 1 + 2c / (a^2 + c^2) lies in [1, 1 + 1/a] and whose curvature is
@@ -234,7 +238,8 @@ def _robin_newton(lo, c: float, falling):
     F sees fl((n-1) pi), not (n-1) pi, so a last Newton step on the computed
     residual sin(a - 2 arctan(c / a)), of slope (-1)^(n-1) F' at the root,
     lands within a float or two of the residual's sign change.  ``falling``
-    marks the roots of even n, where that slope is negative.
+    marks the roots of even n, where that slope is negative.  For lo < 32
+    only the residual check of ``robin_eigen_1d`` vouches for the root.
     """
     a = lo + 0.5 * math.pi
     f = np.empty_like(a)
@@ -313,12 +318,14 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     least ulp(6 pi) = 3.6e-15 > 1e-15 pi), so each root still reaches its
     own fixed point, and root 1 at tiny c its 90-step cap.
 
-    At tiny c a root can lie within rounding of fl((n-1) pi), where the
-    computed residual then has the wrong sign, so some bracket shows no sign
-    change and the bisection has no answer.  Roots n >= 12 whose pair fails
-    the check then take Newton's root, provided its residual is at most
-    max(1e-12, 2 ulp(a)), which a correctly rounded root meets.  Otherwise,
-    and for a bracket n < 12, ``ConvergenceError`` is raised.
+    At tiny c a root can lie within rounding of fl((n-1) pi), and at huge c
+    (beta ell >~ 1e17) within rounding of fl(n pi), where the computed
+    residual then has the wrong sign, so some bracket shows no sign change
+    and the bisection has no answer.  Such a bracket n < 12, and then every
+    root n >= 12 whose pair fails the check, takes Newton's root (from
+    fl((n-1) pi), 0 for n = 1), provided its residual is at most
+    max(1e-12, 2 ulp(a)), which a correctly rounded root meets; otherwise
+    ``ConvergenceError`` is raised.
 
     Norms come from the closed form ||u_n||^2 = ell/2 (1 + (h/w)^2) + h/w^2,
     validated elsewhere against quadrature.
@@ -346,24 +353,27 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
         return ConvergenceError(f"no sign change in Robin bracket (({i} pi, {i + 1} pi)) "
                                 f"for h*ell = {c}")
 
-    if np.any(bad[:_NEWTON_FROM]):
-        raise no_sign_change(int(np.argmax(bad)))
-    slow = np.arange(min(count, _NEWTON_FROM))
-    kept, kept_roots = np.empty(0, dtype=int), np.empty(0)  # Newton roots kept as they are
+    # Newton roots kept as they are.  Where a bracket n < 12 shows no sign
+    # change, its neighbours' sign changes can be a neighbouring root's, so
+    # every root n < 12 is Newton's
+    kept = np.arange(min(count, _NEWTON_FROM) if np.any(bad[:_NEWTON_FROM]) else 0)
+    kept_roots = _robin_newton(kept * math.pi, c, kept % 2 == 1)
+    slow = np.arange(kept.size, min(count, _NEWTON_FROM))
     if count > _NEWTON_FROM:
         top = slice(_NEWTON_FROM, None)
         roots = _robin_newton(lo[top], c, np.arange(_NEWTON_FROM, count) % 2 == 1)
         done = _robin_adjacent_brackets(roots, lo[top], hi[top], flo[top], fhi[top], c)
         miss = _NEWTON_FROM + np.flatnonzero(~done)
         if np.any(bad):
-            kept, kept_roots = miss, roots[miss - _NEWTON_FROM]
-            resid = np.abs(_robin_residual(kept_roots, c))
-            fail = resid > np.maximum(1e-12, 2.0 * np.spacing(kept_roots))
-            if np.any(fail):
-                raise no_sign_change(int(miss[np.argmax(fail)]))
+            kept = np.concatenate([kept, miss])
+            kept_roots = np.concatenate([kept_roots, roots[miss - _NEWTON_FROM]])
         else:
             slow = np.concatenate([slow, miss])
         del roots, done  # the secant step below peaks without them
+    resid = np.abs(_robin_residual(kept_roots, c))
+    fail = ~(resid <= np.maximum(1e-12, 2.0 * np.spacing(kept_roots)))
+    if np.any(fail):
+        raise no_sign_change(int(kept[np.argmax(fail)]))
     lo[slow], hi[slow], flo[slow], fhi[slow] = _robin_bisect(
         lo[slow], hi[slow], flo[slow], fhi[slow], c)
     denom = fhi - flo
@@ -376,7 +386,9 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     return RobinEigen1D(h=h, ell_axis=ell_axis, alphas=alphas, norms=norms)
 
 
-@lru_cache(maxsize=64)
+# an entry holds 16 bytes per root (1.6 MB at kmax 1e5); a modal sum or a
+# sampler check reuses the roots of one (beta, L, count) for all its axes
+@lru_cache(maxsize=8)
 def _robin_cached(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     return robin_eigen_1d(h, ell_axis, count)
 
@@ -386,7 +398,18 @@ def _axis_mu_values(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
 
     Mode order along one axis: Dirichlet k = 1..kmax; Neumann k = 0..kmax;
     periodic [const, cos_1, sin_1, ..., cos_kmax, sin_kmax]; Robin
-    n = 1..kmax+1.
+    n = 1..kmax+1.  The D/N/P table is a transposed view: the modes of one
+    coordinate are contiguous.
+
+    D/N/P values are amp * trig(k t), t = freq x / L, by angle addition.
+    With k = q B + r, B = isqrt(kmax) + 1, cos and sin are taken at the
+    anchors b = q B t and the offsets a = r t alone, each angle formed as
+    fl(fl(fl(k x) freq) / L) like the direct one: trig on
+    2 n (B + kmax // B + 1) arguments instead of n kmax.  Then
+    cos(b + a) = cos b cos a - sin b sin a, sin(b + a) = sin b cos a +
+    cos b sin a, and amp last.  Rows k < B and k = q B keep the bits of
+    amp * trig(fl(fl(fl(k x) freq) / L)), since cos 0 = 1 and sin 0 = 0
+    exactly; the others move by rounding only (README, numerical notes).
     """
     x = np.asarray(coords, dtype=float)
     if bc.kind == "robin":
@@ -394,36 +417,43 @@ def _axis_mu_values(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
         vals = eig.evaluate(x)
         vals /= np.sqrt(eig.norms)[:, None]
         return eig.omegas ** 2, vals
-    # built in place, with the operations (and bits) of
-    # amp * trig(freq * outer(k, x) / L), freq = pi or 2 pi
     first = 0 if bc.kind == "neumann" else 1
     k = np.arange(first, kmax + 1, dtype=float)
     freq = 2.0 * math.pi if bc.kind == "periodic" else np.pi
     mu = (freq * k / L) ** 2
-    amp = math.sqrt(2.0 / L)
-    if bc.kind == "periodic":
-        vals = np.empty((2 * kmax + 1, x.size))
-        ang = vals[1::2]  # the angles, then their cosines
-    else:
-        vals = ang = np.empty((k.size, x.size))
-    np.multiply.outer(k, x, out=ang)
-    ang *= freq
-    ang /= L
+    step = math.isqrt(kmax) + 1
+    trig = []
+    # [:, q, r] holds k = q step + r, so the combination runs along the long
+    # offset axis r
+    for m, axis in ((np.arange(0, kmax + 1, step, dtype=float), 2),
+                    (np.arange(step, dtype=float), 1)):
+        ang = np.multiply.outer(x, m)
+        ang *= freq
+        ang /= L
+        trig += [np.expand_dims(np.cos(ang), axis), np.expand_dims(np.sin(ang), axis)]
+    cb, sb, ca, sa = trig
+    # periodic: cos_k and sin_k at offsets 2k and 2k + 1 of a coordinate's row
+    pair = 2 if bc.kind == "periodic" else 1
+    flat = np.empty((x.size, cb.shape[1] * step * pair))
+    grid = flat.reshape(x.size, cb.shape[1], step, pair)
+    cos_k, sin_k = grid[..., 0], grid[..., pair - 1]
+    # blocks of coordinates keep the temporary near 2^16 values
+    rows = max(1, 2 ** 16 // (cb.shape[1] * step))
+    tmp = np.empty((min(rows, x.size),) + cos_k.shape[1:])
+    for i in range(0, x.size, rows):
+        blk, t = slice(i, i + rows), tmp[:x.size - i]
+        if bc.kind != "dirichlet":
+            np.multiply(cb[blk], ca[blk], out=cos_k[blk])
+            cos_k[blk] -= np.multiply(sb[blk], sa[blk], out=t)
+        if bc.kind != "neumann":
+            np.multiply(sb[blk], ca[blk], out=sin_k[blk])
+            sin_k[blk] += np.multiply(cb[blk], sa[blk], out=t)
+    vals = flat[:, first:kmax + 1].T if pair == 1 else flat[:, 1:2 * kmax + 2].T
+    vals *= math.sqrt(2.0 / L)
     if bc.kind == "dirichlet":
-        np.sin(ang, out=ang)
-        ang *= amp
         return mu, vals
-    if bc.kind == "neumann":
-        np.cos(ang, out=ang)
-        ang *= np.where(k == 0, math.sqrt(1.0 / L), amp)[:, None]
-        return mu, vals
-    if bc.kind == "periodic":
-        np.sin(ang, out=vals[2::2])
-        np.cos(ang, out=ang)
-        vals[1:] *= amp
-        vals[0] = math.sqrt(1.0 / L)
-        return np.concatenate([[0.0], np.repeat(mu, 2)]), vals
-    raise ValueError(f"unsupported boundary kind {bc.kind!r}")
+    vals[0] = math.sqrt(1.0 / L)  # the constant mode (periodic: in place of sin 0)
+    return (mu if pair == 1 else np.concatenate([[0.0], np.repeat(mu, 2)])), vals
 
 
 def eigenpair(bc: BoundarySpec, k, box: BoxDomain, kappa: float):

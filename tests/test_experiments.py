@@ -232,8 +232,8 @@ n_samples = 0
 GOLDEN = (
     ("sigma2=1\nrho=0.1\nnu=1\nd=1\nbc=R,D,N,P\ndelta_list=0,0.05,0.2\nn_grid=7\n"
      "trunc_h=1e-3\nseed=3\nn_samples=200\n",
-     {"cov-slice": "6180ed14d9c3d11cabfe0b86c8eefec03ceb5e134a688ee80faced140b6500ab",
-      "error-curve": "60477868951005c866915ed107c8d0b49be0ab06723c5b581870d3122f45d286",
+     {"cov-slice": "a8c1a9eee164ed1b9480d8d64d6158234757400b36f3cff2a17de1dac9f19b1d",
+      "error-curve": "3f8dd7340648f8a3203659dade0d57827e457bf71308882e77d92affbd7cc52a",
       "bounds": "0214ec0ae77397b938191f3d10d9bde23a788c227a74ada049592bf5ca2e1078",
       "sample": "8fc19281a762b06e9f5bd7bbba6598fbbeebf41fcaa7fabf93049cc278eda6ec"}),
     ("sigma2=1\nrho=0.1\nnu=1\nd=2\nbc=D,N,P,R\ndelta_list=0.05,0.2\nn_grid=3\n"
@@ -241,7 +241,7 @@ GOLDEN = (
      {"cov-slice": "cfc0ad748f4d1024bbce0e81eff32fc0240d02d2717bab4979c8736767864810",
       "error-curve": "9f0d471aa1ca2002ee8daa16492f4e0a1c0ffcdd0b9c2f24b6279a807657bb55",
       "bounds": "bbc53c76a94928a14ee61f686971fd63d92845754f2a34d8f1d326ed5e5673ec",
-      "sample": "32aaeb49d085519b5df8969a4f3c9f2c2761e51c2c0c58806b7d63ab68a9fd3a"}),
+      "sample": "3096b794824a73a39fe96806891947da883180895ac63e98421cc074b94501b1"}),
 )
 
 

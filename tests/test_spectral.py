@@ -115,6 +115,71 @@ def test_eigenfunctions_orthonormal_2d():
     assert np.max(np.abs(gram - np.eye(len(ks)))) < 1e-10
 
 
+def _direct_table(kind, L, kmax, x):
+    """The D/N/P mode table by one trig call per value, and each row's k."""
+    freq = 2.0 * math.pi if kind == "periodic" else math.pi
+    amp = math.sqrt(2.0 / L)
+    k = np.arange(0 if kind == "neumann" else 1, kmax + 1, dtype=float)
+    mu = (freq * k / L) ** 2
+    if kind == "dirichlet":
+        return mu, amp * np.sin(freq * np.outer(k, x) / L), k
+    if kind == "neumann":
+        vals = amp * np.cos(freq * np.outer(k, x) / L)
+        vals[0] = math.sqrt(1.0 / L)
+        return mu, vals, k
+    vals = np.empty((2 * kmax + 1, x.size))
+    vals[0] = math.sqrt(1.0 / L)
+    vals[1::2] = amp * np.cos(freq * np.outer(k, x) / L)
+    vals[2::2] = amp * np.sin(freq * np.outer(k, x) / L)
+    return np.concatenate([[0.0], np.repeat(mu, 2)]), vals, np.concatenate([[0.0], np.repeat(k, 2)])
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic"])
+def test_mode_table_by_angle_addition(kind):
+    # kmax + 1 a perfect square (0, 3, 8) and kmax one (1, 9) are the edges
+    # of the split k = q B + r, B = isqrt(kmax) + 1
+    L = 1.2
+    x = np.concatenate([np.linspace(0.0, L, 13), [0.3337, 1.1999]])
+    amp = math.sqrt(2.0 / L)
+    freq = 2.0 * math.pi if kind == "periodic" else math.pi
+    for kmax in (0, 1, 2, 3, 8, 9, 100000):
+        mu, vals = spectral._axis_mu_values(BoundarySpec(kind), L, kmax, x)
+        ref_mu, ref, k = _direct_table(kind, L, kmax, x)
+        assert np.array_equal(mu, ref_mu) and vals.shape == ref.shape
+        step = math.isqrt(kmax) + 1
+        exact = (k < step) | (k % step == 0)
+        assert np.array_equal(vals[exact], ref[exact]), kmax
+        bound = 4.0 * amp * (np.spacing(freq * k * x.max() / L) + np.finfo(float).eps)
+        assert np.all(np.abs(vals - ref) <= bound[:, None]), kmax
+
+
+def test_modal_gram_by_angle_addition_near_direct_trig():
+    # d = 1 at kmax 1e5 on 15 points: the Grams from the angle-addition
+    # tables against the same sums over one-trig-call-per-value tables
+    p = derive_params(1.0, 0.1, 0.5, 1)
+    box = BoxDomain.cubic(0.2, 1.0, 1)
+    L = box.lengths[0]
+    pts = np.linspace(0.1, 1.1, 15)[:, None]
+    trunc = TruncationSpec(100000)
+
+    def direct_gram(kind):
+        mu, V, _ = _direct_table(kind, L, trunc.kmax, pts[:, 0])
+        w = p.eta2 * (1.0 + mu / p.kappa ** 2) ** (-p.alpha)
+        return V.T @ (w[:, None] * V)
+
+    for kind in ("dirichlet", "neumann", "periodic"):
+        ref = direct_gram(kind)
+        got = plain_spectral_gram(p, BoundarySpec(kind), box, pts, trunc)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), kind
+    bc = BoundarySpec.robin(p.kappa)
+    gram, tail = cov_spectral_gram(p, bc, box, pts, trunc)
+    assert tail < spectral_tail_bound(p, bc, box, trunc.kmax)  # the accelerated route
+    from maternbox.folded import cov_folded_gram
+    ref = (cov_folded_gram(p, box, "neumann", pts)[0]
+           + plain_spectral_gram(p, bc, box, pts, trunc) - direct_gram("neumann"))
+    assert np.max(np.abs(gram - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_robin_roots_bracketing_and_residuals():
     for c_over_l, ell in ((7.0, 1.2), (0.3, 0.8), (40.0, 2.0)):
         eig = robin_eigen_1d(c_over_l, ell, 60)
@@ -206,20 +271,40 @@ def test_robin_roots_off_their_pair_are_bisected(monkeypatch):
         assert np.array_equal(eig.norms, norms), (bl, count)
 
 
+def _check_newton_stand_ins(bl, count):
+    """Roots that pass the residual check where the bisection has no answer.
+
+    A correctly rounded root may lie one float beyond fl(n pi), which is
+    itself rounded.
+    """
+    eig = robin_eigen_1d(bl / 1.2, 1.2, count)
+    a = eig.alphas
+    n = np.arange(1, count + 1)
+    assert np.all(np.diff(a) > 0)
+    assert np.all(a[1:] >= np.nextafter((n[1:] - 1) * math.pi, -np.inf))
+    assert np.all(a <= np.nextafter(n * math.pi, np.inf))
+    limit = np.maximum(1e-12, 2.0 * np.spacing(a))
+    assert np.all(np.abs(eig.eigenvalue_residual()) <= limit)
+    with pytest.raises(AssertionError):  # the bisection alone has no answer
+        _bisection_reference(bl / 1.2, 1.2, count)
+
+
 def test_robin_roots_for_tiny_beta_and_many_modes():
     # a root within rounding of fl((n-1) pi) leaves its bracket without a
     # computed sign change; Newton's root stands in for roots n >= 12
     for bl, count in ((1.2e-6, 120002), (1e-6, 100001), (1e-9, 10001), (1e-30, 1000)):
-        eig = robin_eigen_1d(bl / 1.2, 1.2, count)
-        a = eig.alphas
-        n = np.arange(1, count + 1)
-        assert np.all(np.diff(a) > 0)
-        assert np.all(a[1:] >= np.nextafter((n[1:] - 1) * math.pi, -np.inf))
-        assert np.all(a <= np.nextafter(n * math.pi, np.inf))
-        limit = np.maximum(1e-12, 2.0 * np.spacing(a))
-        assert np.all(np.abs(eig.eigenvalue_residual()) <= limit)
-        with pytest.raises(AssertionError):  # the bisection alone has no answer
-            _bisection_reference(bl / 1.2, 1.2, count)
+        _check_newton_stand_ins(bl, count)
+
+
+def test_robin_roots_for_huge_beta():
+    # the stiff limit: roots within rounding of fl(n pi), so brackets n < 12
+    # show no computed sign change either; Newton's root stands in there too,
+    # up to where (beta L)^2 overflows, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bl, count in ((1e17, 1), (1e17, 1001), (1e19, 11), (1e19, 100001),
+                          (1e100, 3), (1e100, 13), (1.2e150, 1001)):
+            _check_newton_stand_ins(bl, count)
 
 
 def test_robin_limits():
@@ -264,7 +349,7 @@ def test_robin_count_validation():
     with pytest.raises(ValueError):
         robin_eigen_1d(-1.0, 1.0, 5)
     # (h ell)^2 overflows: an error, not roots with NaN residuals, nor a warning
-    for h in (1e100, 1e150, 1e200, 1e300):
+    for h in (1e200, 1e300):
         with pytest.raises(ConvergenceError), warnings.catch_warnings():
             warnings.simplefilter("error")
             robin_eigen_1d(h, 1.2, 3)
