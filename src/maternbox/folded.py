@@ -136,6 +136,12 @@ class _Tails:
     kernel call, not one per candidate.  Each radius still gets the same
     terms in the same (families, shells) array and the same ``np.sum``, so
     its tail does not depend on which radii were asked before.
+
+    Shells at a nonpositive distance read 1.  Where a radius leaves such
+    shells (separations beyond (radius + 1) * period_min), their counts
+    (2j+1)^d - (2j-1)^d telescope to one closed form per family, and only
+    the at most 49 shells from the first positive one to the anchor meet
+    the kernel (``_beyond``), so any finite separation costs O(radius + 48).
     """
 
     def __init__(self, params: MaternParams, period_min: float, seps):
@@ -144,6 +150,18 @@ class _Tails:
         self.seps = np.asarray(seps, dtype=float)
         self.f = float(decay_factor(params.nu, params.kappa, period_min))
         self.kernel = np.ones((self.seps.size, 0))  # column j - 1 holds shell j
+        # per family the last shell j with fl(j * period_min) - sep <= 0, 0 if none
+        dead = np.floor(self.seps / period_min)
+        dead += (dead + 1.0) * period_min - self.seps <= 0
+        dead -= (dead >= 1) & (dead * period_min - self.seps > 0)
+        self.dead = dead
+
+    def _closure(self, j_close):
+        """Weight of the anchor shell: sum_{j >= J} 2d (3j)^(d-1) f^(j-J)
+        <= 2d (3J)^(d-1) (d-1)! / (1-f)^d."""
+        d = self.params.d
+        return ((3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1)
+                / (1.0 - self.f) ** d)
 
     def _shells(self, j_max: int) -> np.ndarray:
         """Kernel at shells 1..j_max per family; a shell that may reach distance 0 reads 1."""
@@ -160,20 +178,38 @@ class _Tails:
     def __call__(self, radius: int) -> float:
         if radius < 0:
             raise ValueError("tail certificates need radius >= 0")
-        d, period_min, seps = self.params.d, self.period_min, self.seps
-        j_close = np.full(seps.shape, radius + 1 + _CLOSURE_SHELLS)
-        # closure needs a strictly positive anchor distance
-        while np.any(j_close * period_min - seps <= 0):
-            j_close += _CLOSURE_SHELLS * (j_close * period_min - seps <= 0)
-        j_max = int(j_close.max())
-        js = np.arange(radius + 1, j_max + 1, dtype=float)
-        # sum_{j >= J} 2d (3j)^(d-1) f^(j-J) <= 2d (3J)^(d-1) (d-1)! / (1-f)^d
-        closure = ((3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1)
-                   / (1.0 - self.f) ** d)
-        weight = np.where(js < j_close[:, None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
-        weight[js == j_close[:, None]] = closure
-        vals = self._shells(j_max)[:, radius:]
+        if np.any(self.dead > radius):
+            return self._beyond(radius)
+        d = self.params.d
+        # every shell from radius + 1 on lies at a positive distance, so the
+        # anchor 48 shells on does too
+        j_close = radius + 1 + _CLOSURE_SHELLS
+        js = np.arange(radius + 1, j_close + 1, dtype=float)
+        weight = np.where(js < j_close, (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
+        weight[-1] = self._closure(j_close)
+        vals = self._shells(j_close)[:, radius:]
         return self.params.sigma2 * float(np.sum(weight * vals))
+
+    def _beyond(self, radius: int) -> float:
+        """The tail at a radius that leaves shells at a nonpositive distance.
+
+        Per family, shells radius + 1 .. dead read 1, and their counts sum
+        to (2 dead + 1)^d - (2 radius + 1)^d.  The anchor is the first of
+        radius + 1 + 48 t, t >= 1, past ``dead``; the shells between read
+        the kernel.
+        """
+        d, period_min, seps, dead = self.params.d, self.period_min, self.seps, self.dead
+        steps = np.maximum(1.0, np.floor((dead - radius - 1) / _CLOSURE_SHELLS) + 1.0)
+        j_close = radius + 1 + _CLOSURE_SHELLS * steps
+        js = np.maximum(radius + 1, dead + 1)[:, None] + np.arange(_CLOSURE_SHELLS + 1.0)
+        weight = np.where(js < j_close[:, None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
+        weight = np.where(js == j_close[:, None], self._closure(j_close)[:, None], weight)
+        dist = js * period_min - seps[:, None]
+        vals = np.ones(dist.shape)
+        live = (weight > 0) & (dist > 0)
+        vals[live] = unit_matern(self.params.nu, self.params.kappa * dist[live])
+        ones = np.where(dead > radius, (2 * dead + 1) ** d - (2 * radius + 1) ** d, 0.0)
+        return self.params.sigma2 * float(np.sum(ones) + np.sum(weight * vals))
 
 
 def _family_tails(params: MaternParams, box: BoxDomain, bc: str, separation_inf) -> _Tails:
@@ -217,7 +253,7 @@ def pick_radius(params: MaternParams, box: BoxDomain, bc: str = "periodic", *,
     if tol is None:
         tol = _DEFAULT_TAIL_FACTOR * params.sigma2
     tails = _family_tails(params, box, bc, separation_inf)
-    unclosable = np.any(tails.seps >= (_MAX_RADIUS + 1) * tails.period_min)
+    unclosable = np.any(tails.dead > _MAX_RADIUS)
     if not (unclosable and tol < 2.0 * params.sigma2):
         for radius in range(1, _MAX_RADIUS + 1):
             if tails(radius) <= tol:

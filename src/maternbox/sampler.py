@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matern import MaternParams, as_points
-from .spectral import BoundarySpec, BoxDomain, TruncationSpec, mode_system
+from .spectral import _BLOCK_VALUES, BoundarySpec, BoxDomain, TruncationSpec, mode_system
 
 __all__ = ["EmpiricalCov", "FieldSample", "empirical_cov", "sample_ensemble", "sample_field"]
 
@@ -31,7 +31,6 @@ _MASK64 = 2 ** 64 - 1
 # draws whose noise is made, scaled and mapped through the modes together,
 # at most _BLOCK_VALUES noise values at a time
 _BLOCK = 256
-_BLOCK_VALUES = 2 ** 20
 
 
 @dataclass(frozen=True)

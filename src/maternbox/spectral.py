@@ -8,17 +8,22 @@ Robin conditions, sums the expansion with a certified truncation-tail bound
 (Robin in d = 1 accelerated by the exact folded Neumann covariance), and
 exposes the per-mode system of the plain sum used by the sampler.
 
-One per-axis mode table (``_axis_mu_values``) serves every route: the
-modal sums, ``mode_system`` and ``eigenpair`` read their eigenvalues and
-mode values from its rows.  Its D/N/P rows take trig at O(n sqrt(kmax))
-anchor and offset angles only and combine them by angle addition.  In
-d >= 2 each axis forms its pair-product columns w(x) w(y) once per
-distinct unordered coordinate pair and sums the modes that share an
-eigenvalue (periodic cos_k and sin_k) into one row; the modal sum
-contracts the first two axes as a matrix product over those distinct
-columns, one row and column per eigenvalue, gathers each Gram pair's
-columns by index, and sums the remaining axes eigenvalue by eigenvalue
-(``_axis_pair_columns``).
+One per-axis mode-table builder (``_axis_mode_blocks``) serves every
+route.  Its D/N/P rows take trig at O(n sqrt(kmax)) anchor and offset
+angles only and combine them by angle addition.  It yields the table in
+consecutive row blocks of about ``_BLOCK_VALUES`` = 2^16 values: a D/N/P
+block is a run of whole anchors, a Robin block a run of roots, and every
+value is formed elementwise, so each row has the same bits however the
+table is blocked.  The d = 1 modal sum adds V_b^T (w_b V_b) block by block,
+so it holds O(block + points^2) values whatever kmax is; ``mode_system``,
+``eigenpair`` and the d >= 2 sums read the blocks stacked
+(``_axis_mu_values``).  In d >= 2 each axis forms its pair-product
+columns w(x) w(y) once per distinct unordered coordinate pair and sums the
+modes that share an eigenvalue (periodic cos_k and sin_k) into one row;
+the modal sum contracts the first two axes as a matrix product over those
+distinct columns, one row and column per eigenvalue, formed in blocks of
+rows, gathers each Gram pair's columns by index, and sums the remaining
+axes eigenvalue by eigenvalue (``_axis_pair_columns``).
 
 Periodic complex exponentials are realized as real cosine/sine pairs with
 matching normalization, so all arithmetic stays real.
@@ -40,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .folded import cov_folded_gram
+from .folded import _DEFAULT_TAIL_FACTOR, cov_folded_gram, pick_radius
 from .matern import MaternParams, as_points, check_dimension
 from .specfun import ConvergenceError
 
@@ -60,6 +65,8 @@ __all__ = [
 
 # surface measure of the unit sphere in R^m, m = 1, 2, 3
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+# values per block of a mode table, of a d >= 2 weight matrix and of sampler noise
+_BLOCK_VALUES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -393,13 +400,15 @@ def _robin_cached(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     return robin_eigen_1d(h, ell_axis, count)
 
 
-def _axis_mu_values(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
+def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
     """Per-axis squared frequencies and orthonormal mode values at coords.
 
-    Mode order along one axis: Dirichlet k = 1..kmax; Neumann k = 0..kmax;
-    periodic [const, cos_1, sin_1, ..., cos_kmax, sin_kmax]; Robin
-    n = 1..kmax+1.  The D/N/P table is a transposed view: the modes of one
-    coordinate are contiguous.
+    Yields the table as consecutive row blocks (mu, V), V of shape
+    (modes, coordinates), each holding about ``_BLOCK_VALUES`` values (at
+    least one anchor or one root).  Mode order along one axis: Dirichlet
+    k = 1..kmax; Neumann k = 0..kmax; periodic [const, cos_1, sin_1, ...,
+    cos_kmax, sin_kmax]; Robin n = 1..kmax+1.  A D/N/P block is a
+    transposed view: the modes of one coordinate are contiguous.
 
     D/N/P values are amp * trig(k t), t = freq x / L, by angle addition.
     With k = q B + r, B = isqrt(kmax) + 1, cos and sin are taken at the
@@ -410,17 +419,22 @@ def _axis_mu_values(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
     cos b sin a, and amp last.  Rows k < B and k = q B keep the bits of
     amp * trig(fl(fl(fl(k x) freq) / L)), since cos 0 = 1 and sin 0 = 0
     exactly; the others move by rounding only (README, numerical notes).
+    A D/N/P block is a run of whole anchors q, a Robin block a run of roots;
+    every value is formed elementwise, so no row depends on the blocking.
     """
     x = np.asarray(coords, dtype=float)
+    n = max(x.size, 1)
     if bc.kind == "robin":
         eig = _robin_cached(bc.beta, L, kmax + 1)
-        vals = eig.evaluate(x)
-        vals /= np.sqrt(eig.norms)[:, None]
-        return eig.omegas ** 2, vals
-    first = 0 if bc.kind == "neumann" else 1
-    k = np.arange(first, kmax + 1, dtype=float)
+        rows = max(1, _BLOCK_VALUES // n)
+        for i in range(0, kmax + 1, rows):
+            part = RobinEigen1D(eig.h, eig.ell_axis, eig.alphas[i:i + rows],
+                                eig.norms[i:i + rows])
+            vals = part.evaluate(x)
+            vals /= np.sqrt(part.norms)[:, None]
+            yield part.omegas ** 2, vals
+        return
     freq = 2.0 * math.pi if bc.kind == "periodic" else np.pi
-    mu = (freq * k / L) ** 2
     step = math.isqrt(kmax) + 1
     trig = []
     # [:, q, r] holds k = q step + r, so the combination runs along the long
@@ -434,26 +448,34 @@ def _axis_mu_values(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
     cb, sb, ca, sa = trig
     # periodic: cos_k and sin_k at offsets 2k and 2k + 1 of a coordinate's row
     pair = 2 if bc.kind == "periodic" else 1
-    flat = np.empty((x.size, cb.shape[1] * step * pair))
-    grid = flat.reshape(x.size, cb.shape[1], step, pair)
-    cos_k, sin_k = grid[..., 0], grid[..., pair - 1]
-    # blocks of coordinates keep the temporary near 2^16 values
-    rows = max(1, 2 ** 16 // (cb.shape[1] * step))
-    tmp = np.empty((min(rows, x.size),) + cos_k.shape[1:])
-    for i in range(0, x.size, rows):
-        blk, t = slice(i, i + rows), tmp[:x.size - i]
+    anchors = max(1, _BLOCK_VALUES // (n * step * pair))
+    for q in range(0, cb.shape[1], anchors):
+        qs = slice(q, q + anchors)
+        width = cb[:, qs].shape[1]
+        flat = np.empty((x.size, width * step * pair))
+        grid = flat.reshape(x.size, width, step, pair)
+        cos_k, sin_k = grid[..., 0], grid[..., pair - 1]
+        t = np.empty(cos_k.shape)
         if bc.kind != "dirichlet":
-            np.multiply(cb[blk], ca[blk], out=cos_k[blk])
-            cos_k[blk] -= np.multiply(sb[blk], sa[blk], out=t)
+            np.multiply(cb[:, qs], ca, out=cos_k)
+            cos_k -= np.multiply(sb[:, qs], sa, out=t)
         if bc.kind != "neumann":
-            np.multiply(sb[blk], ca[blk], out=sin_k[blk])
-            sin_k[blk] += np.multiply(cb[blk], sa[blk], out=t)
-    vals = flat[:, first:kmax + 1].T if pair == 1 else flat[:, 1:2 * kmax + 2].T
-    vals *= math.sqrt(2.0 / L)
-    if bc.kind == "dirichlet":
-        return mu, vals
-    vals[0] = math.sqrt(1.0 / L)  # the constant mode (periodic: in place of sin 0)
-    return (mu if pair == 1 else np.concatenate([[0.0], np.repeat(mu, 2)])), vals
+            np.multiply(sb[:, qs], ca, out=sin_k)
+            sin_k += np.multiply(cb[:, qs], sa, out=t)
+        k = np.arange(q * step, min((q + width) * step, kmax + 1), dtype=float)
+        # block 0 drops sin 0 (Dirichlet) or cos 0 (periodic: the constant takes sin 0's row)
+        cut = 0 if q or bc.kind == "neumann" else 1
+        vals = flat[:, cut:pair * k.size].T
+        vals *= math.sqrt(2.0 / L)
+        if q == 0 and bc.kind != "dirichlet":
+            vals[0] = math.sqrt(1.0 / L)  # the constant mode (periodic: in place of sin 0)
+        yield np.repeat((freq * k / L) ** 2, pair)[cut:], vals
+
+
+def _axis_mu_values(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
+    """The whole per-axis table (mu, V) of ``_axis_mode_blocks``, its blocks stacked."""
+    mus, vals = zip(*_axis_mode_blocks(bc, L, kmax, coords))
+    return np.concatenate(mus), np.concatenate(vals)
 
 
 def eigenpair(bc: BoundarySpec, k, box: BoxDomain, kappa: float):
@@ -569,30 +591,48 @@ def _axis_pair_columns(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray
 
 def _plain_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
                 pts: np.ndarray, kmax: int) -> np.ndarray:
-    """The truncated modal sum itself, contracted axis by axis."""
+    """The truncated modal sum itself, contracted axis by axis.
+
+    In d = 1 the mode table streams through in row blocks, each adding
+    V_b^T (w_b V_b), so it never exists whole; one triangle is mirrored.
+    In d >= 2 the weights of the first two axes are formed in row blocks,
+    each multiplied into its rows of W @ G2.
+    """
     n = pts.shape[0]
     kappa2 = params.kappa ** 2
     alpha = params.alpha
     if box.d == 1:
-        mu, V = _axis_mu_values(bc, box.lengths[0], kmax, pts[:, 0])
-        w = params.eta2 * (1.0 + mu / kappa2) ** (-alpha)
-        return V.T @ (w[:, None] * V)
+        gram = np.zeros((n, n))
+        for mu, V in _axis_mode_blocks(bc, box.lengths[0], kmax, pts[:, 0]):
+            w = params.eta2 * (1.0 + mu / kappa2) ** (-alpha)
+            # one coordinate's modes contiguous (Robin blocks are copied): on
+            # OpenBLAS this layout rounds about 4 times less at kmax 1e5
+            Vt = np.ascontiguousarray(V.T)
+            gram += Vt @ (w * Vt).T
+        iu = np.triu_indices(n, 1)
+        gram.T[iu] = gram[iu]
+        return gram
     iu = np.triu_indices(n)
     axes = [_axis_pair_columns(bc, box.lengths[i], kmax, pts[:, i], iu)
             for i in range(box.d)]
     (mu1, G1, col1), (mu2, G2, col2) = axes[:2]
     G1 = G1[:, col1]
+    WG = np.empty((mu1.size, G2.shape[1]))
+    rows = max(1, _BLOCK_VALUES // max(mu2.size, 1))
     vals = np.zeros(iu[0].size)
     # axes 1 and 2 contracted as a matrix product over their distinct
     # columns, axes 3.. summed eigenvalue by eigenvalue
     for idx in product(*(range(mu.size) for mu, _, _ in axes[2:])):
-        # eta2 (1 + mu / kappa2)^(-alpha) in place: one (m1, m2) array at a time
-        W = mu1[:, None] + mu2[None, :] + sum(mu[c] for (mu, _, _), c in zip(axes[2:], idx))
-        W /= kappa2
-        W += 1.0
-        W **= -alpha
-        W *= params.eta2
-        term = np.einsum("ip,ip->p", G1, (W @ G2)[:, col2])
+        shift = sum(mu[c] for (mu, _, _), c in zip(axes[2:], idx))
+        for i in range(0, mu1.size, rows):
+            # eta2 (1 + mu / kappa2)^(-alpha) in place, a block of rows at a time
+            W = mu1[i:i + rows, None] + mu2[None, :] + shift
+            W /= kappa2
+            W += 1.0
+            W **= -alpha
+            W *= params.eta2
+            np.matmul(W, G2, out=WG[i:i + rows])
+        term = np.einsum("ip,ip->p", G1, WG[:, col2])
         for (_, g, col), c in zip(axes[2:], idx):
             term *= g[c, col]
         vals += term
@@ -671,6 +711,29 @@ def _robin_neumann_remainder(params: MaternParams, beta: float, L: float,
     return total
 
 
+def _neumann_images(params: MaternParams, box: BoxDomain, pts: np.ndarray, rest: float):
+    """The folded Neumann Gram of the d = 1 Robin route and its tail, or (None, inf).
+
+    Its image radius is the smallest whose tail meets rest, the Robin
+    remainder, where that is below the default 1e-8 sigma^2 and a radius up
+    to 128 meets it; otherwise the default radius.  The separations are the
+    ones the Gram certifies its tail at: per reflection family (identity,
+    mirror) the largest |x - eps y| over the pairs.
+    """
+    radius = None
+    if rest < _DEFAULT_TAIL_FACTOR * params.sigma2:
+        x = pts[:, 0]
+        try:
+            radius = pick_radius(params, box, "neumann", tol=rest,
+                                 separation_inf=[np.ptp(x), 2.0 * np.max(np.abs(x))])
+        except ValueError:
+            pass
+    try:
+        return cov_folded_gram(params, box, "neumann", pts, radius)
+    except ValueError:  # no image radius certifies the Neumann sum
+        return None, math.inf
+
+
 def cov_spectral_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
                       points, trunc: TruncationSpec):
     """Modal covariance between all point pairs, with a certified tail.
@@ -688,12 +751,14 @@ def cov_spectral_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     k = 0..kmax).  Its tail is the folded sum's certified remainder plus
     ``_robin_neumann_remainder``, which falls like kmax^(-2 alpha) instead
     of the plain kmax^(1 - 2 alpha).  Of the two routes the one with the
-    smaller tail is returned.  The plain sum wins where its tail has fallen
-    below the folded remainder (up to 1e-8 sigma^2, the image radius
-    tolerance: smooth or long-range kernels at large kmax), where beta L is far above kmax pi (the
-    remainder charges up to twice each omitted Neumann term), at the
-    smallest kmax, and where no image radius certifies the Neumann sum
-    (rho far beyond the box).  In d >= 2 the per-index pairing leaves O(1)
+    smaller tail is returned.  The Neumann image radius is the smallest
+    whose folded remainder meets the Robin remainder where that is below
+    1e-8 sigma^2 (``_neumann_images``), so the accelerated tail keeps
+    falling past the default image tolerance.  The plain sum wins where
+    beta L is far above kmax pi (the remainder charges up to twice each
+    omitted Neumann term), at the smallest kmax, and where no radius up to
+    128 takes the folded remainder below the plain tail (rho far beyond the
+    box).  In d >= 2 the per-index pairing leaves O(1)
     differences whenever one axis index is large and another small, so it
     would not shrink the remainder.  The samplers draw from the plain sum;
     ``plain_spectral_gram`` and ``mode_system`` give it.
@@ -705,10 +770,7 @@ def cov_spectral_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     if bc.kind == "robin" and box.d == 1:
         rest = _robin_neumann_remainder(params, bc.beta, box.lengths[0], kmax)
         if rest < tail:
-            try:
-                fold, fold_tail = cov_folded_gram(params, box, "neumann", pts)
-            except ValueError:  # no image radius certifies the Neumann sum
-                fold_tail = math.inf
+            fold, fold_tail = _neumann_images(params, box, pts, rest)
             if fold_tail + rest < tail:
                 diff = gram - _plain_gram(params, BoundarySpec.neumann(), box, pts, kmax)
                 return fold + diff, fold_tail + rest

@@ -232,10 +232,10 @@ n_samples = 0
 GOLDEN = (
     ("sigma2=1\nrho=0.1\nnu=1\nd=1\nbc=R,D,N,P\ndelta_list=0,0.05,0.2\nn_grid=7\n"
      "trunc_h=1e-3\nseed=3\nn_samples=200\n",
-     {"cov-slice": "a8c1a9eee164ed1b9480d8d64d6158234757400b36f3cff2a17de1dac9f19b1d",
-      "error-curve": "3f8dd7340648f8a3203659dade0d57827e457bf71308882e77d92affbd7cc52a",
+     {"cov-slice": "fc0d3ecb7ba559a702fe81795589eaffc6981cad10853a662dd15100ef9b9a70",
+      "error-curve": "31ef5bd04e4fc69ca985c06b0882fde903353b9450eba1ec888be9eb01e24df2",
       "bounds": "0214ec0ae77397b938191f3d10d9bde23a788c227a74ada049592bf5ca2e1078",
-      "sample": "8fc19281a762b06e9f5bd7bbba6598fbbeebf41fcaa7fabf93049cc278eda6ec"}),
+      "sample": "12aaaab5e5f0e30efb0453b512cf5cf58594af578d59faa3f0ed31c8e1533106"}),
     ("sigma2=1\nrho=0.1\nnu=1\nd=2\nbc=D,N,P,R\ndelta_list=0.05,0.2\nn_grid=3\n"
      "trunc_h=2e-2\nseed=5\nn_samples=200\n",
      {"cov-slice": "cfc0ad748f4d1024bbce0e81eff32fc0240d02d2717bab4979c8736767864810",

@@ -414,6 +414,37 @@ def test_pick_radius_fails_fast_on_unclosable_separation():
     assert pick_radius(p, box, "periodic", separation_inf=sep, tol=1e300) == 1
 
 
+def test_tail_counts_nonpositive_shells_in_closed_form():
+    # shells at distance <= 0 read 1, and their counts (2j+1)^d - (2j-1)^d
+    # telescope: the tail equals the direct shell-by-shell sum up to rounding,
+    # whether all, some or none of a tail's families start at such shells
+    for d in (1, 2, 3):
+        p = derive_params(1.0, 0.3, 1.5, d)
+        box = BoxDomain.cubic(0.2, 1.0, d)
+        period = box.length_max
+        for kind, seps in (("periodic", [40.5 * period]),
+                           ("neumann", [0.3] + [97.0 * period] * (2 ** d - 1))):
+            for radius in (1, 5, 47, 48, 60, 200):
+                got = image_tail_bound(p, box, radius, bc=kind, separation_inf=seps)
+                ref = _reference_tail(p, box, kind, seps, radius)
+                assert abs(got - ref) <= 1e-14 * ref, (d, kind, radius)
+
+
+def test_tail_cost_independent_of_separation():
+    import time
+
+    p = derive_params(1.0, 0.1, 1.0, 1)
+    box = BoxDomain.cubic(0.2, 1.0, 1)
+    start = time.perf_counter()
+    tail = image_tail_bound(p, box, 3, separation_inf=1e6)
+    with pytest.raises(ValueError, match=r"^no radius up to 128 certifies"):
+        pick_radius(p, box, "periodic", separation_inf=1e6, tol=3.0)
+    assert time.perf_counter() - start < 1.0  # was 24 s: one shell per period
+    # shells 4 .. floor(1e6 / 1.2) read 1, two images each; 49 more close the sum
+    dead = math.floor(1e6 / 1.2)
+    assert 2 * (dead - 3) * p.sigma2 <= tail <= (2 * (dead - 3) + 100) * p.sigma2
+
+
 def _reference_tail(p, box, kind, seps, radius):
     # the per-radius tail in its direct form: one kernel call over the live
     # shells of this radius only, the decay factor evaluated here

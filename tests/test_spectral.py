@@ -480,8 +480,9 @@ def test_robin_accelerated_tail_certifies(nu):
 
 
 def test_robin_tail_never_above_plain_tail():
-    # smooth or long-range kernels: at large kmax the plain tail falls below
-    # the folded remainder, and the plain sum is returned with it
+    # long-range kernels: no image radius up to 128 certifies the Neumann sum
+    # below the Robin remainder, the default radius leaves a folded remainder
+    # near 1e-8 sigma^2, and the plain sum is returned with its smaller tail
     box = BoxDomain.cubic(0.2, 1.0, 1)
     pts = np.linspace(0.1, 1.1, 7)[:, None]
     for nu, rho in ((2.5, 1.0), (1.5, 1.0), (0.5, 0.1)):
@@ -491,12 +492,44 @@ def test_robin_tail_never_above_plain_tail():
             for kmax in (0, 10, 1000):
                 _, tail = cov_spectral_gram(p, bc, box, pts, TruncationSpec(kmax))
                 assert tail <= spectral_tail_bound(p, bc, box, kmax), (nu, beta, kmax)
-    p = derive_params(1.0, 1.0, 2.5, 1)
+    p = derive_params(1.0, 15.0, 2.5, 1)
     bc = BoundarySpec.robin(p.kappa)
     gram, tail = cov_spectral_gram(p, bc, box, pts, TruncationSpec(1000))
     assert tail == spectral_tail_bound(p, bc, box, 1000) < 1e-12
     assert np.array_equal(gram, plain_spectral_gram(p, bc, box, pts,
                                                     TruncationSpec(1000)))
+
+
+def test_robin_image_radius_meets_the_remainder():
+    # smooth kernels: the Neumann image radius is picked for the Robin
+    # remainder, so the accelerated tail keeps falling like kmax^(-2 alpha)
+    # past the default 1e-8 sigma^2 folded remainder
+    from maternbox.folded import cov_folded_gram
+
+    box = BoxDomain.cubic(0.2, 1.0, 1)
+    pts = np.linspace(0.1, 1.1, 7)[:, None]
+    p = derive_params(1.0, 1.0, 2.5, 1)
+    _, default_tail = cov_folded_gram(p, box, "neumann", pts)
+    for beta in (1.0, p.kappa):
+        bc = BoundarySpec.robin(beta)
+        ref, ref_tail = cov_spectral_gram(p, bc, box, pts, TruncationSpec(4000))
+        for kmax in (100, 1000):
+            gram, tail = cov_spectral_gram(p, bc, box, pts, TruncationSpec(kmax))
+            rest = _robin_neumann_remainder(p, beta, box.lengths[0], kmax)
+            assert rest < tail <= 2.0 * rest < 1e-2 * default_tail, (beta, kmax)
+            assert tail < 0.1 * spectral_tail_bound(p, bc, box, kmax)
+            assert np.max(np.abs(gram - ref)) <= tail + ref_tail + 1e-15, (beta, kmax)
+    # at rest >= 1e-8 sigma^2 the default radius stays: the route is unchanged
+    p = derive_params(1.0, 0.1, 0.5, 1)
+    bc = BoundarySpec.robin(p.kappa)
+    rest = _robin_neumann_remainder(p, p.kappa, box.lengths[0], 100)
+    fold, fold_tail = cov_folded_gram(p, box, "neumann", pts)
+    assert rest >= 1e-8 * p.sigma2
+    gram, tail = cov_spectral_gram(p, bc, box, pts, TruncationSpec(100))
+    assert tail == fold_tail + rest
+    diff = (plain_spectral_gram(p, bc, box, pts, TruncationSpec(100))
+            - plain_spectral_gram(p, BoundarySpec.neumann(), box, pts, TruncationSpec(100)))
+    assert np.array_equal(gram, fold + diff)
 
 
 def test_tail_bound_certifies_below_the_knee():
@@ -581,14 +614,16 @@ def test_spectral_equals_folded_rectangular_box():
         assert np.max(np.abs(spec - fold)) <= 1e-6 + stail + ftail, kind
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic", "robin"])
 def test_modal_gram_matches_mode_by_mode_sum(d, kind):
-    # the contraction over distinct pair columns and eigenvalue groups
-    # against eta^2 sum_k lambda_k^(-alpha) w_k(x) w_k(y) over the explicit modes
+    # the sum streamed through mode blocks (d = 1, kmax spanning several
+    # blocks) and the contraction over distinct pair columns and eigenvalue
+    # groups (d >= 2) against eta^2 sum_k lambda_k^(-alpha) w_k(x) w_k(y)
+    # over the explicit modes
     p = derive_params(1.0, 0.2, 1.0, d)
     bc = BoundarySpec(kind, 2.5 if kind == "robin" else None)
-    tr = TruncationSpec(30 if d == 2 else 6)
+    tr = TruncationSpec({1: 30000, 2: 30, 3: 6}[d])
     rng = np.random.default_rng(d)
     for box in (BoxDomain.cubic(0.2, 1.0, d),
                 BoxDomain(delta=0.2, ell=1.0, lengths=(1.2, 1.7, 1.45)[:d], d=d)):
@@ -603,3 +638,22 @@ def test_modal_gram_matches_mode_by_mode_sum(d, kind):
             got = plain_spectral_gram(p, bc, box, pts, tr)
             assert np.array_equal(got, got.T)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), box.lengths
+
+
+def test_d1_modal_gram_memory_independent_of_kmax():
+    # the d = 1 table streams through blocks of about 2^16 values: at
+    # kmax 1e5 on 15 points the whole periodic table would be 24 MB
+    import tracemalloc
+
+    p = derive_params(1.0, 0.1, 0.5, 1)
+    box = BoxDomain.cubic(0.2, 1.0, 1)
+    pts = np.linspace(0.1, 1.1, 15)[:, None]
+    trunc = TruncationSpec(100000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plain_spectral_gram(p, BoundarySpec.periodic(), box, pts, trunc)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak
