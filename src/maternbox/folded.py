@@ -131,17 +131,18 @@ class _Tails:
     summed with exact counts, the rest closed at the next shell (the anchor)
     with the geometric factor f(period_min) and the count (3j)^(d-1).
 
-    f(period_min) is evaluated once per instance, and the kernel at the
-    shell distances once per block of shells, so a radius search makes one
-    kernel call, not one per candidate.  Each radius still gets the same
-    terms in the same (families, shells) array and the same ``np.sum``, so
-    its tail does not depend on which radii were asked before.
+    Shells at a nonpositive distance read 1.  Per family these are shells
+    1 .. ``dead``; those beyond the radius have counts (2j+1)^d - (2j-1)^d
+    that telescope to one closed form, so only the 49 shells from the
+    first one past both the radius and ``dead`` meet the kernel, and the
+    anchor is the first of radius + 1 + 48 t, t >= 1, among them.  A tail
+    thus costs O(radius + 48) at any finite separation.
 
-    Shells at a nonpositive distance read 1.  Where a radius leaves such
-    shells (separations beyond (radius + 1) * period_min), their counts
-    (2j+1)^d - (2j-1)^d telescope to one closed form per family, and only
-    the at most 49 shells from the first positive one to the anchor meet
-    the kernel (``_beyond``), so any finite separation costs O(radius + 48).
+    f(period_min) is evaluated once per instance, and the kernel once per
+    block of shells, so a radius search makes one kernel call, not one per
+    candidate.  Each radius still gets
+    the same terms in the same (families, shells) array and the same
+    ``np.sum``, so its tail does not depend on which radii were asked before.
     """
 
     def __init__(self, params: MaternParams, period_min: float, seps):
@@ -149,66 +150,42 @@ class _Tails:
         self.period_min = period_min
         self.seps = np.asarray(seps, dtype=float)
         self.f = float(decay_factor(params.nu, params.kappa, period_min))
-        self.kernel = np.ones((self.seps.size, 0))  # column j - 1 holds shell j
         # per family the last shell j with fl(j * period_min) - sep <= 0, 0 if none
         dead = np.floor(self.seps / period_min)
         dead += (dead + 1.0) * period_min - self.seps <= 0
         dead -= (dead >= 1) & (dead * period_min - self.seps > 0)
         self.dead = dead
+        self.kernel = np.ones((self.seps.size, 0))  # column k holds shell dead + 1 + k
 
-    def _closure(self, j_close):
-        """Weight of the anchor shell: sum_{j >= J} 2d (3j)^(d-1) f^(j-J)
-        <= 2d (3J)^(d-1) (d-1)! / (1-f)^d."""
-        d = self.params.d
-        return ((3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1)
-                / (1.0 - self.f) ** d)
-
-    def _shells(self, j_max: int) -> np.ndarray:
-        """Kernel at shells 1..j_max per family; a shell that may reach distance 0 reads 1."""
+    def _shells(self, skip: np.ndarray) -> np.ndarray:
+        """Kernel at the 49 shells from dead + 1 + skip on, per family."""
+        need = int(skip.max()) + _CLOSURE_SHELLS + 1
         have = self.kernel.shape[1]
-        if j_max > have:
-            js = np.arange(have + 1, max(j_max, have + _TAIL_BLOCK) + 1, dtype=float)
-            dist = js * self.period_min - self.seps[:, None]
+        if need > have:
+            ks = np.arange(have, max(need, have + _TAIL_BLOCK), dtype=float)
+            dist = (self.dead[:, None] + 1.0 + ks) * self.period_min - self.seps[:, None]
             vals = np.ones(dist.shape)
-            live = dist > 0
+            live = dist > 0  # false only beyond 2^53 periods, where dead + 1 + k rounds
             vals[live] = unit_matern(self.params.nu, self.params.kappa * dist[live])
             self.kernel = np.concatenate([self.kernel, vals], axis=1)
-        return self.kernel[:, :j_max]
+        cols = skip.astype(int)[:, None] + np.arange(_CLOSURE_SHELLS + 1)
+        return np.take_along_axis(self.kernel, cols, axis=1)
 
     def __call__(self, radius: int) -> float:
         if radius < 0:
             raise ValueError("tail certificates need radius >= 0")
-        if np.any(self.dead > radius):
-            return self._beyond(radius)
         d = self.params.d
-        # every shell from radius + 1 on lies at a positive distance, so the
-        # anchor 48 shells on does too
-        j_close = radius + 1 + _CLOSURE_SHELLS
-        js = np.arange(radius + 1, j_close + 1, dtype=float)
-        weight = np.where(js < j_close, (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
-        weight[-1] = self._closure(j_close)
-        vals = self._shells(j_close)[:, radius:]
-        return self.params.sigma2 * float(np.sum(weight * vals))
-
-    def _beyond(self, radius: int) -> float:
-        """The tail at a radius that leaves shells at a nonpositive distance.
-
-        Per family, shells radius + 1 .. dead read 1, and their counts sum
-        to (2 dead + 1)^d - (2 radius + 1)^d.  The anchor is the first of
-        radius + 1 + 48 t, t >= 1, past ``dead``; the shells between read
-        the kernel.
-        """
-        d, period_min, seps, dead = self.params.d, self.period_min, self.seps, self.dead
-        steps = np.maximum(1.0, np.floor((dead - radius - 1) / _CLOSURE_SHELLS) + 1.0)
-        j_close = radius + 1 + _CLOSURE_SHELLS * steps
-        js = np.maximum(radius + 1, dead + 1)[:, None] + np.arange(_CLOSURE_SHELLS + 1.0)
+        first = np.maximum(radius, self.dead) + 1.0
+        js = first[:, None] + np.arange(_CLOSURE_SHELLS + 1.0)
+        j_close = radius + 1 + _CLOSURE_SHELLS * np.maximum(
+            1.0, np.ceil((first - radius - 1) / _CLOSURE_SHELLS))
+        # sum_{j >= J} 2d (3j)^(d-1) f^(j-J) <= 2d (3J)^(d-1) (d-1)! / (1-f)^d
+        closure = ((3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1)
+                   / (1.0 - self.f) ** d)
         weight = np.where(js < j_close[:, None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
-        weight = np.where(js == j_close[:, None], self._closure(j_close)[:, None], weight)
-        dist = js * period_min - seps[:, None]
-        vals = np.ones(dist.shape)
-        live = (weight > 0) & (dist > 0)
-        vals[live] = unit_matern(self.params.nu, self.params.kappa * dist[live])
-        ones = np.where(dead > radius, (2 * dead + 1) ** d - (2 * radius + 1) ** d, 0.0)
+        weight = np.where(js == j_close[:, None], closure[:, None], weight)
+        vals = self._shells(first - self.dead - 1.0)
+        ones = (2 * first - 1) ** d - (2 * radius + 1) ** d  # shells radius + 1 .. dead
         return self.params.sigma2 * float(np.sum(ones) + np.sum(weight * vals))
 
 
@@ -335,7 +312,8 @@ def _row_distances(rows: np.ndarray, periods: np.ndarray, radius: int, dropped: 
 
 
 def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray,
-                pairs, radius: int | None, drop_identity: bool = False):
+                pairs, radius: int | None, drop_identity: bool = False,
+                tol: float | None = None):
     """Folded covariance of the point pairs (pts[i], pts[j]), (i, j) in ``pairs``.
 
     Returns (values, radius, tail).  Reflection eps contributes the images
@@ -348,7 +326,9 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     equals ``math.fsum`` of the row's images), so no order matters.  The tail sums, over the
     reflections, the certified remainder at that reflection's largest
     separation, which for a single pair is the pair's own remainder; the
-    default radius is the smallest this tail certifies.
+    default radius is the smallest this tail certifies below ``tol``
+    (``pick_radius``'s default when None), or below the default tolerance
+    where no radius up to 128 meets a given ``tol``.
     """
     d = params.d
     eps, periods = _families(params, box, kind)
@@ -356,7 +336,12 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     u = np.abs(pts[i] - eps[:, None, :] * pts[j])  # (families, pairs, d)
     seps = u.max(axis=(1, 2))
     if radius is None:
-        radius = pick_radius(params, box, kind, separation_inf=seps)
+        try:
+            radius = pick_radius(params, box, kind, separation_inf=seps, tol=tol)
+        except ValueError:
+            if tol is None:
+                raise
+            radius = pick_radius(params, box, kind, separation_inf=seps)
     keys = u.reshape(-1, d)
     if drop_identity:  # identity rows apart: only their zero shift is dropped
         keys = np.column_stack([keys, np.arange(len(keys)) < i.size])
@@ -420,10 +405,16 @@ def cov_folded_gram(params: MaternParams, box: BoxDomain, kind: str, points,
     summing the non-identity images avoids the cancellation that otherwise
     floors tiny errors at the resolution of O(sigma^2) values.
     """
-    pts = as_points(points, params.d)
+    return _gram(params, box, kind, as_points(points, params.d), radius, drop_identity)
+
+
+def _gram(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray,
+          radius: int | None = None, drop_identity: bool = False, tol: float | None = None):
+    """``cov_folded_gram`` of checked points, its default radius picked for ``tol``
+    as in ``_image_sums``."""
     n = pts.shape[0]
     iu = np.triu_indices(n)
-    vals, _, tail = _image_sums(params, box, kind, pts, iu, radius, drop_identity)
+    vals, _, tail = _image_sums(params, box, kind, pts, iu, radius, drop_identity, tol)
     gram = np.empty((n, n))
     gram[iu] = vals
     gram.T[iu] = vals

@@ -45,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .folded import _DEFAULT_TAIL_FACTOR, cov_folded_gram, pick_radius
+from .folded import _DEFAULT_TAIL_FACTOR, _gram
 from .matern import MaternParams, as_points, check_dimension
 from .specfun import ConvergenceError
 
@@ -715,21 +715,12 @@ def _neumann_images(params: MaternParams, box: BoxDomain, pts: np.ndarray, rest:
     """The folded Neumann Gram of the d = 1 Robin route and its tail, or (None, inf).
 
     Its image radius is the smallest whose tail meets rest, the Robin
-    remainder, where that is below the default 1e-8 sigma^2 and a radius up
-    to 128 meets it; otherwise the default radius.  The separations are the
-    ones the Gram certifies its tail at: per reflection family (identity,
-    mirror) the largest |x - eps y| over the pairs.
+    remainder, or the default 1e-8 sigma^2 where that is smaller; where no
+    radius up to 128 meets rest, the default radius.
     """
-    radius = None
-    if rest < _DEFAULT_TAIL_FACTOR * params.sigma2:
-        x = pts[:, 0]
-        try:
-            radius = pick_radius(params, box, "neumann", tol=rest,
-                                 separation_inf=[np.ptp(x), 2.0 * np.max(np.abs(x))])
-        except ValueError:
-            pass
     try:
-        return cov_folded_gram(params, box, "neumann", pts, radius)
+        return _gram(params, box, "neumann", pts,
+                     tol=min(rest, _DEFAULT_TAIL_FACTOR * params.sigma2))
     except ValueError:  # no image radius certifies the Neumann sum
         return None, math.inf
 
@@ -754,11 +745,13 @@ def cov_spectral_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     smaller tail is returned.  The Neumann image radius is the smallest
     whose folded remainder meets the Robin remainder where that is below
     1e-8 sigma^2 (``_neumann_images``), so the accelerated tail keeps
-    falling past the default image tolerance.  The plain sum wins where
-    beta L is far above kmax pi (the remainder charges up to twice each
-    omitted Neumann term), at the smallest kmax, and where no radius up to
-    128 takes the folded remainder below the plain tail (rho far beyond the
-    box).  In d >= 2 the per-index pairing leaves O(1)
+    falling past the default image tolerance; where no radius up to 128
+    brings the folded remainder down to the Robin remainder, the default
+    radius is kept.  The plain sum wins where beta L is far above kmax pi
+    (the remainder charges up to twice each omitted Neumann term), at the
+    smallest kmax, and where the default radius's folded remainder, near
+    1e-8 sigma^2, lies above the plain tail (rho far beyond the box at
+    large kmax).  In d >= 2 the per-index pairing leaves O(1)
     differences whenever one axis index is large and another small, so it
     would not shrink the remainder.  The samplers draw from the plain sum;
     ``plain_spectral_gram`` and ``mode_system`` give it.

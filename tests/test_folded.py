@@ -430,19 +430,31 @@ def test_tail_counts_nonpositive_shells_in_closed_form():
                 assert abs(got - ref) <= 1e-14 * ref, (d, kind, radius)
 
 
-def test_tail_cost_independent_of_separation():
-    import time
+def test_tail_cost_independent_of_separation(monkeypatch):
+    import maternbox.folded as folded
 
     p = derive_params(1.0, 0.1, 1.0, 1)
     box = BoxDomain.cubic(0.2, 1.0, 1)
-    start = time.perf_counter()
-    tail = image_tail_bound(p, box, 3, separation_inf=1e6)
-    with pytest.raises(ValueError, match=r"^no radius up to 128 certifies"):
-        pick_radius(p, box, "periodic", separation_inf=1e6, tol=3.0)
-    assert time.perf_counter() - start < 1.0  # was 24 s: one shell per period
-    # shells 4 .. floor(1e6 / 1.2) read 1, two images each; 49 more close the sum
-    dead = math.floor(1e6 / 1.2)
-    assert 2 * (dead - 3) * p.sigma2 <= tail <= (2 * (dead - 3) + 100) * p.sigma2
+    points = []
+
+    def counted(nu, t):
+        points.append(np.size(t))
+        return unit_matern(nu, t)
+
+    monkeypatch.setattr(folded, "unit_matern", counted)
+    work = []
+    for sep in (1e3, 1e5, 1e6):
+        points.clear()
+        tail = image_tail_bound(p, box, 3, separation_inf=sep)
+        # a tolerance of 2 sigma^2 or more searches all 128 radii
+        with pytest.raises(ValueError, match=r"^no radius up to 128 certifies"):
+            pick_radius(p, box, "periodic", separation_inf=sep, tol=3.0)
+        work.append(list(points))
+        # shells 4 .. floor(sep / 1.2) read 1, two images each; 49 more close the sum
+        dead = math.floor(sep / 1.2)
+        assert 2 * (dead - 3) * p.sigma2 <= tail <= (2 * (dead - 3) + 100) * p.sigma2
+    # one block of 96 shells per tail instance, not one shell per period
+    assert work[0] == work[1] == work[2] == [96, 96], work
 
 
 def _reference_tail(p, box, kind, seps, radius):

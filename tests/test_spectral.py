@@ -619,11 +619,11 @@ def test_spectral_equals_folded_rectangular_box():
 def test_modal_gram_matches_mode_by_mode_sum(d, kind):
     # the sum streamed through mode blocks (d = 1, kmax spanning several
     # blocks) and the contraction over distinct pair columns and eigenvalue
-    # groups (d >= 2) against eta^2 sum_k lambda_k^(-alpha) w_k(x) w_k(y)
-    # over the explicit modes
+    # groups (d >= 2; at kmax 300 in d = 2, W spans two row blocks) against
+    # eta^2 sum_k lambda_k^(-alpha) w_k(x) w_k(y) over the explicit modes
     p = derive_params(1.0, 0.2, 1.0, d)
     bc = BoundarySpec(kind, 2.5 if kind == "robin" else None)
-    tr = TruncationSpec({1: 30000, 2: 30, 3: 6}[d])
+    tr = TruncationSpec({1: 30000, 2: 300, 3: 6}[d])
     rng = np.random.default_rng(d)
     for box in (BoxDomain.cubic(0.2, 1.0, d),
                 BoxDomain(delta=0.2, ell=1.0, lengths=(1.2, 1.7, 1.45)[:d], d=d)):
