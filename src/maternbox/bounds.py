@@ -6,7 +6,9 @@ over the domain of interest are provided: a lattice form
 
     (2^d - 1) C(delta) + 2^d sum_{k in N0^d \\ 0} C(||L.k||_2)
 
-summed numerically with a certified remainder, and a closed form
+summed numerically over sup-norm shells of N0^d, one kernel call per shell
+that also evaluates the anchor of the certified remainder past it, and a
+closed form
 
     A * sigma^2 * M_nu(kappa * delta),
     A = (2^d - 1) (1 + 2^d d! f(ell) / (1 - f(ell))^d),
@@ -25,7 +27,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .folded import _lattice_shell
 from .matern import AnisoMetric, MaternParams, decay_factor, unit_matern
 from .spectral import BoxDomain
 
@@ -124,26 +125,25 @@ def lattice_kernel_sum(params: MaternParams, lengths):
         raise ValueError(f"lengths must have {d} entries")
     lmin = float(np.min(lengths))
     f = float(decay_factor(params.nu, params.kappa, lmin))
-
-    def remainder(j0: int) -> float:
-        # count of N0^d indices on sup-norm shell j is (j+1)^d - j^d <= d (j+1)^(d-1);
-        # shell distance >= lmin * j, then geometric closure
-        anchor = float(unit_matern(params.nu, params.kappa * lmin * j0))
-        closure = (d * (2.0 * j0) ** (d - 1) * math.factorial(d - 1)
-                   / (1.0 - f) ** d)
-        return params.sigma2 * closure * anchor
-
     total_parts = []
     running = 0.0
     j = 1
     while True:
-        kk = _lattice_shell(d, j)
-        kk = kk[np.all(kk >= 0, axis=1)]
+        faces = []
+        for a in range(d):  # N0^d shell j face by face: [0..j-1]^a x {j} x [0..j]^(d-1-a)
+            axes = [np.arange(j)] * a + [[j]] + [np.arange(j + 1)] * (d - 1 - a)
+            faces.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d))
+        kk = np.concatenate(faces)
         r = np.sqrt(np.sum((kk * lengths[None, :]) ** 2, axis=1))
-        shell_vals = _kernel_radial(params, r)
+        # the shell and the anchor of the remainder past it, in one kernel call
+        vals = unit_matern(params.nu, np.append(params.kappa * r, params.kappa * lmin * (j + 1)))
+        shell_vals = params.sigma2 * vals[:-1]
         total_parts.extend(shell_vals.tolist())
         running += float(np.sum(shell_vals))
-        rem = remainder(j + 1)
+        # shell i > j holds (i+1)^d - i^d <= d (i+1)^(d-1) indices at distance
+        # >= lmin * i: the anchor at shell j + 1, then geometric closure
+        closure = d * (2.0 * (j + 1)) ** (d - 1) * math.factorial(d - 1) / (1.0 - f) ** d
+        rem = params.sigma2 * closure * float(vals[-1])
         if rem <= max(_LATTICE_REL_TOL * running, 1e-280 * params.sigma2) or j >= 400:
             break
         j += 1

@@ -17,17 +17,20 @@ are formed once per distinct |x - eps.y| row (componentwise); that is
 exact because the lattice offsets are symmetric, IEEE negation is exact
 and every sum is exactly rounded: long rows are summed by exact integer
 bucket sums per binary exponent (``_row_fsums``), whose ``math.fsum`` is
-the ``math.fsum`` of the row, bit for bit.  The tail adds, over the
-reflection families, the remainder at that family's largest pair
-separation, so a one-point Gram certifies exactly what the pair function
-does.  The default radius is the smallest whose tail, that same
-per-family sum, meets the tolerance.  Points (``matern.as_points``) may lie
-outside the box: a periodic sum takes any finite point.
+the ``math.fsum`` of the row, bit for bit.  The kernel is evaluated once
+per distinct image distance.  The tail adds, over the reflection families,
+the remainder at that family's largest pair separation, so a one-point Gram
+certifies exactly what the pair function does.  The default radius is the
+smallest whose tail, that same per-family sum, meets the tolerance; the
+search and the returned tail read one shell table (``_Tails``).  Points
+(``matern.as_points``) may lie outside the box: a periodic sum takes any
+finite point.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
@@ -92,23 +95,6 @@ def sign_vectors(d: int):
     return [SignVector(eps) for eps in product((1, -1), repeat=d)]
 
 
-def _lattice_shell(d: int, j: int) -> np.ndarray:
-    """Integer points of Z^d with sup-norm exactly j, shape (m, d), ints.
-
-    Enumerated face by face (axis a is the first with |k_a| = j), so the
-    cost is the shell's own size, not that of the cube it bounds.
-    """
-    if j == 0:
-        return np.zeros((1, d), dtype=int)
-    full = np.arange(-j, j + 1)
-    inner, face = full[1:-1], np.array([-j, j])
-    parts = []
-    for a in range(d):
-        grids = np.meshgrid(*([inner] * a + [face] + [full] * (d - 1 - a)), indexing="ij")
-        parts.append(np.stack([g.ravel() for g in grids], axis=-1))
-    return np.concatenate(parts)
-
-
 def _families(params: MaternParams, box: BoxDomain, kind: str):
     """Reflection signs (F, d), identity first, and per-axis periods.
 
@@ -139,10 +125,10 @@ class _Tails:
     thus costs O(radius + 48) at any finite separation.
 
     f(period_min) is evaluated once per instance, and the kernel once per
-    block of shells, so a radius search makes one kernel call, not one per
-    candidate.  Each radius still gets
-    the same terms in the same (families, shells) array and the same
-    ``np.sum``, so its tail does not depend on which radii were asked before.
+    block of 96 shells, so a radius search (``pick``) and the tail it returns
+    read one table.  Each radius still gets the same terms in the same
+    (families, shells) array and the same ``np.sum``, so its tail does not
+    depend on which radii were asked before.
     """
 
     def __init__(self, params: MaternParams, period_min: float, seps):
@@ -172,8 +158,6 @@ class _Tails:
         return np.take_along_axis(self.kernel, cols, axis=1)
 
     def __call__(self, radius: int) -> float:
-        if radius < 0:
-            raise ValueError("tail certificates need radius >= 0")
         d = self.params.d
         first = np.maximum(radius, self.dead) + 1.0
         js = first[:, None] + np.arange(_CLOSURE_SHELLS + 1.0)
@@ -187,6 +171,28 @@ class _Tails:
         vals = self._shells(first - self.dead - 1.0)
         ones = (2 * first - 1) ** d - (2 * radius + 1) ** d  # shells radius + 1 .. dead
         return self.params.sigma2 * float(np.sum(ones) + np.sum(weight * vals))
+
+    def pick(self, tol: float, fallback: float = -math.inf) -> int:
+        """Smallest radius up to 128 whose tail is <= tol, else the smallest
+        whose tail is <= ``fallback``, else ``ValueError``."""
+        backup = None
+        for radius in range(1, _MAX_RADIUS + 1):
+            tail = self(radius)
+            if tail <= tol:
+                return radius
+            if backup is None and tail <= fallback:
+                backup = radius
+        if backup is None:
+            raise ValueError(f"no radius up to {_MAX_RADIUS} certifies a tail below {tol}; "
+                             "pass an explicit radius")
+        return backup
+
+
+def _check_radius(radius, least: int) -> int:
+    """``radius`` as an int if it is an integer >= ``least``, else ``ValueError``."""
+    if not isinstance(radius, numbers.Integral) or radius < least:
+        raise ValueError(f"radius must be an integer >= {least}, got {radius!r}")
+    return int(radius)
 
 
 def _family_tails(params: MaternParams, box: BoxDomain, bc: str, separation_inf) -> _Tails:
@@ -210,9 +216,7 @@ def image_tail_bound(params: MaternParams, box: BoxDomain, radius: int, *,
     coincident points.  Periodic folding has the box lengths as periods,
     Neumann/Dirichlet the 2^d reflection families with doubled periods.
     """
-    if radius < 1:
-        raise ValueError("image_tail_bound needs radius >= 1")
-    return _family_tails(params, box, bc, separation_inf)(radius)
+    return _family_tails(params, box, bc, separation_inf)(_check_radius(radius, 1))
 
 
 def pick_radius(params: MaternParams, box: BoxDomain, bc: str = "periodic", *,
@@ -221,23 +225,10 @@ def pick_radius(params: MaternParams, box: BoxDomain, bc: str = "periodic", *,
 
     ``separation_inf`` as in ``image_tail_bound``, by default the largest
     period; each candidate's tail is the one ``image_tail_bound`` returns.
-
-    A separation of at least fl((_MAX_RADIUS + 1) * period_min) fails at
-    once when tol < 2 sigma^2: every candidate radius R then has shell R + 1
-    at a nonpositive distance, which reads 1 with weight >= 2, so every
-    tail is at least 2 sigma^2.
     """
     if tol is None:
         tol = _DEFAULT_TAIL_FACTOR * params.sigma2
-    tails = _family_tails(params, box, bc, separation_inf)
-    unclosable = np.any(tails.dead > _MAX_RADIUS)
-    if not (unclosable and tol < 2.0 * params.sigma2):
-        for radius in range(1, _MAX_RADIUS + 1):
-            if tails(radius) <= tol:
-                return radius
-    raise ValueError(
-        f"no radius up to {_MAX_RADIUS} certifies a tail below {tol}; "
-        "pass an explicit radius")
+    return _family_tails(params, box, bc, separation_inf).pick(tol)
 
 
 def _row_fsums(values: np.ndarray, inv: np.ndarray, counts: np.ndarray, row: np.ndarray,
@@ -320,43 +311,48 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     of u = x - eps.y, formed once per distinct |u| row: the offsets are
     symmetric per axis and IEEE negation is exact, so u and |u| have images
     at the same distances, bit for bit.  Each row keeps its distinct image
-    distances with their counts (``_row_distances``), and the kernel is
-    evaluated once per distance across rows.  Each row's images, then each
-    pair's signed family sums, are summed exactly rounded (``_row_fsums``
-    equals ``math.fsum`` of the row's images), so no order matters.  The tail sums, over the
-    reflections, the certified remainder at that reflection's largest
-    separation, which for a single pair is the pair's own remainder; the
-    default radius is the smallest this tail certifies below ``tol``
-    (``pick_radius``'s default when None), or below the default tolerance
-    where no radius up to 128 meets a given ``tol``.
+    squared distances with their counts (``_row_distances``), and the
+    kernel is evaluated once per distinct distance across rows.  Each row's
+    images, then each pair's signed family sums, are summed exactly rounded
+    (``_row_fsums`` equals ``math.fsum`` of the row's images), so no order
+    matters.  The tail sums, over the reflections, the certified remainder
+    at that reflection's largest separation, which for a single pair is the
+    pair's own remainder.  One ``_Tails`` table serves the radius search and
+    the returned tail: the default radius is the smallest this tail
+    certifies below ``tol`` (``pick_radius``'s default when None), or below
+    the default tolerance where no radius up to 128 meets a given ``tol``.
+    An explicit radius must be an integer >= 0.
     """
     d = params.d
     eps, periods = _families(params, box, kind)
     i, j = (np.asarray(idx, dtype=int) for idx in pairs)
     u = np.abs(pts[i] - eps[:, None, :] * pts[j])  # (families, pairs, d)
-    seps = u.max(axis=(1, 2))
+    tails = _Tails(params, float(periods.min()), u.max(axis=(1, 2)))
+    default = _DEFAULT_TAIL_FACTOR * params.sigma2
     if radius is None:
-        try:
-            radius = pick_radius(params, box, kind, separation_inf=seps, tol=tol)
-        except ValueError:
-            if tol is None:
-                raise
-            radius = pick_radius(params, box, kind, separation_inf=seps)
+        radius = tails.pick(default if tol is None else tol, default)
+    else:
+        radius = _check_radius(radius, 0)
     keys = u.reshape(-1, d)
     if drop_identity:  # identity rows apart: only their zero shift is dropped
         keys = np.column_stack([keys, np.arange(len(keys)) < i.size])
     rows, row_of = np.unique(keys, axis=0, return_inverse=True)
     dropped = rows[:, -1] == 1 if drop_identity else np.zeros(len(rows), dtype=bool)
     dist2, inv, counts, row = _row_distances(rows[:, :d], periods, radius, dropped)
-    mvals = np.zeros(dist2.size)
+    # dist2 is sorted, so equal square roots are adjacent: one kernel value each
     kept = dist2 >= 0.0  # the dropped zero shifts read 0
-    mvals[kept] = params.sigma2 * unit_matern(params.nu, params.kappa * np.sqrt(dist2[kept]))
+    r = np.sqrt(dist2[kept])
+    first = np.ones(r.size, dtype=bool)
+    first[1:] = r[1:] != r[:-1]
+    mvals = np.zeros(dist2.size)
+    mvals[kept] = (params.sigma2 * unit_matern(params.nu, params.kappa * r[first]))[
+        np.cumsum(first) - 1]
+    del r, first  # freed before the row sums
     row_sums = _row_fsums(mvals, inv, counts, row, len(rows))
     sign = np.prod(eps, axis=1, keepdims=True) if kind == "dirichlet" else 1.0
     family_sums = sign * row_sums[row_of.reshape(u.shape[:2])]
     vals = np.array([math.fsum(col) for col in family_sums.T.tolist()])
-    tail = _Tails(params, float(periods.min()), seps)(radius)
-    return vals, radius, tail
+    return vals, radius, tails(radius)
 
 
 def cov_folded_periodic(params: MaternParams, box: BoxDomain, x, y,

@@ -217,3 +217,62 @@ def test_report_type_fields():
     assert isinstance(r, BoundReport)
     assert r.delta == 0.2 and r.ell == 1.0
     assert 0.0 < r.decay_ell < 1.0
+
+
+def _reference_lattice_kernel_sum(params, lengths):
+    # the two-call form: the Z^d sup-norm shell filtered to N0^d and one kernel
+    # call for it, then one for the anchor of the remainder past it
+    d = params.d
+    lengths = np.asarray(lengths, dtype=float)
+    lmin = float(np.min(lengths))
+    f = float(decay_factor(params.nu, params.kappa, lmin))
+    parts, running, j = [], 0.0, 1
+    while True:
+        full = np.arange(-j, j + 1)
+        inner, face = full[1:-1], np.array([-j, j])
+        shell = []
+        for a in range(d):
+            grids = np.meshgrid(*([inner] * a + [face] + [full] * (d - 1 - a)), indexing="ij")
+            shell.append(np.stack([g.ravel() for g in grids], axis=-1))
+        kk = np.concatenate(shell)
+        kk = kk[np.all(kk >= 0, axis=1)]
+        r = np.sqrt(np.sum((kk * lengths[None, :]) ** 2, axis=1))
+        vals = params.sigma2 * unit_matern(params.nu, params.kappa * r)
+        parts.extend(vals.tolist())
+        running += float(np.sum(vals))
+        anchor = float(unit_matern(params.nu, params.kappa * lmin * (j + 1)))
+        closure = d * (2.0 * (j + 1)) ** (d - 1) * math.factorial(d - 1) / (1.0 - f) ** d
+        rem = params.sigma2 * closure * anchor
+        if rem <= max(1e-8 * running, 1e-280 * params.sigma2) or j >= 400:
+            return math.fsum(parts), rem
+        j += 1
+
+
+def test_lattice_kernel_sum_equals_two_call_form_bitwise():
+    # the N0^d shell in the filtered Z^d shell's order, and the remainder
+    # anchor in the shell's kernel call: unit_matern is batch invariant
+    for d in (1, 2, 3):
+        for nu in (0.25, 1.0, 50.0):
+            for rho in (0.1, 1.0):
+                p = derive_params(1.3, rho, nu, d)
+                for lengths in ((1.2,) * d, (1.1, 0.7, 1.6)[:d]):
+                    got = lattice_kernel_sum(p, lengths)
+                    ref = _reference_lattice_kernel_sum(p, lengths)
+                    assert np.array_equal(np.array(got).view(np.int64),
+                                          np.array(ref).view(np.int64)), (d, nu, rho, lengths)
+
+
+def test_lattice_kernel_sum_one_kernel_call_per_shell(monkeypatch):
+    import maternbox.bounds as bounds
+
+    sizes = []
+
+    def counted(nu, t):
+        sizes.append(np.size(t))
+        return unit_matern(nu, t)
+
+    monkeypatch.setattr(bounds, "unit_matern", counted)
+    p = derive_params(1.0, 0.5, 1.0, 2)
+    lattice_kernel_sum(p, (1.2, 1.2))
+    # shell j of N0^2 holds 2j + 1 indices, plus its remainder anchor
+    assert sizes == [2 * j + 2 for j in range(1, len(sizes) + 1)]

@@ -393,9 +393,7 @@ def test_pick_radius_equals_per_radius_tail_loop():
         pick_radius(p, box, "neumann", tol=1e-300)
 
 
-def test_pick_radius_fails_fast_on_unclosable_separation():
-    import time
-
+def test_pick_radius_fails_fast_on_unclosable_separation(monkeypatch):
     p = derive_params(1.0, 0.1, 1.0, 1)
     box = BoxDomain.cubic(0.2, 1.0, 1)
     # a separation of 129 periods leaves every candidate's shell R + 1 at
@@ -403,13 +401,22 @@ def test_pick_radius_fails_fast_on_unclosable_separation():
     sep = 129 * box.length_max
     for radius in (1, 64, 128):
         assert _reference_tail(p, box, "periodic", [sep], radius) >= 2.0 * p.sigma2
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"^no radius up to 128 certifies"):
-        cov_folded_periodic(p, box, [0.1], [1e5])
-    assert time.perf_counter() - start < 0.1  # was seconds: one shell table per 48 shells
-    for s in (sep, 1e300):
+    points = []
+
+    def counted(nu, t):
+        points.append(np.size(t))
+        return unit_matern(nu, t)
+
+    monkeypatch.setattr(folded, "unit_matern", counted)
+    # all 128 candidates read one block of 96 shells past the nonpositive ones
+    for call, work in ((lambda: cov_folded_periodic(p, box, [0.1], [1e5]), [96]),
+                       (lambda: pick_radius(p, box, "periodic", separation_inf=sep), [96]),
+                       # beyond 2^53 periods every shell rounds to distance <= 0
+                       (lambda: pick_radius(p, box, "periodic", separation_inf=1e300), [0])):
+        points.clear()
         with pytest.raises(ValueError, match=r"^no radius up to 128 certifies"):
-            pick_radius(p, box, "periodic", separation_inf=s)
+            call()
+        assert points == work
     # a tolerance of 2 sigma^2 or more is still searched
     assert pick_radius(p, box, "periodic", separation_inf=sep, tol=1e300) == 1
 
@@ -455,6 +462,57 @@ def test_tail_cost_independent_of_separation(monkeypatch):
         assert 2 * (dead - 3) * p.sigma2 <= tail <= (2 * (dead - 3) + 100) * p.sigma2
     # one block of 96 shells per tail instance, not one shell per period
     assert work[0] == work[1] == work[2] == [96, 96], work
+
+
+def test_gram_search_and_tail_read_one_shell_table(monkeypatch):
+    from maternbox.matern import decay_factor
+    from maternbox.spectral import cov_spectral_gram
+
+    points, decays, picks = [], [], []
+
+    def counted(nu, t):
+        points.append(np.size(t))
+        return unit_matern(nu, t)
+
+    def counted_decay(nu, kappa, x):
+        decays.append(x)
+        return decay_factor(nu, kappa, x)
+
+    pick = folded._Tails.pick
+
+    def recorded(tails, tol, fallback=-math.inf):
+        radius = pick(tails, tol, fallback)
+        picks.append((tails, tol, fallback, radius))
+        return radius
+
+    monkeypatch.setattr(folded, "unit_matern", counted)
+    monkeypatch.setattr(folded, "decay_factor", counted_decay)
+    monkeypatch.setattr(folded._Tails, "pick", recorded)
+    # a default radius: one decay factor, one 96-shell block per family, then the images
+    for d, kind in ((1, "periodic"), (2, "neumann"), (2, "dirichlet")):
+        p = derive_params(1.0, 0.3, 1.0, d)
+        box = BoxDomain.cubic(0.2, 1.0, d)
+        pts = np.linspace(0.1, 1.1, 4 * d).reshape(4, d)
+        for log in (points, decays, picks):
+            log.clear()
+        _, tail = cov_folded_gram(p, box, kind, pts)
+        families = 1 if kind == "periodic" else 2 ** d
+        assert len(decays) == 1 and points[:-1] == [96 * families], (d, kind, points)
+        ((tails, _, _, radius),) = picks
+        assert tail == tails(radius) and radius <= 47
+    # the d = 1 Robin route whose remainder no radius up to 128 meets: the
+    # search falls back to the default tolerance on the same table, which
+    # holds the 128 + 49 shells of the whole search in two blocks
+    p = derive_params(1.0, 10.0, 2.5, 1)
+    box = BoxDomain.cubic(0.1, 1.0, 1)
+    pts = np.linspace(0.1, 1.0, 5)
+    for log in (points, decays, picks):
+        log.clear()
+    cov_spectral_gram(p, BoundarySpec.robin(1.0), box, pts, TruncationSpec(2000))
+    assert len(decays) == 1 and points[:-1] == [2 * 96, 2 * 96], points
+    ((tails, tol, fallback, radius),) = picks
+    assert fallback == 1e-8 * p.sigma2 and tails(128) > tol
+    assert tails(radius) <= fallback < tails(radius - 1)
 
 
 def _reference_tail(p, box, kind, seps, radius):

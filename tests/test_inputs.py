@@ -124,3 +124,28 @@ def test_one_dim_points_are_a_column():
     s2 = sample_field(P1, NEUMANN, BOX1, col, TRUNC, 5)
     assert s1.grid.shape == (10, 1) and s1.values.shape == (10,)
     assert np.array_equal(s1.grid, col) and np.array_equal(s1.values, s2.values)
+
+
+@pytest.mark.parametrize("radius", [2.5, 3.0, -1, "3", None])
+def test_bad_radius_raises(radius):
+    # an explicit radius is an integer >= 0 (>= 1 for image_tail_bound): a
+    # fractional one would sum a wrong image set under a valid-looking tail
+    x, y = [0.3], [0.7]
+    calls = [lambda: image_tail_bound(P1, BOX1, radius, bc="neumann")]
+    if radius is not None:
+        calls += [lambda: cov_folded_gram(P1, BOX1, "periodic", [x, y], radius),
+                  lambda: cov_folded_periodic(P1, BOX1, x, y, radius),
+                  lambda: cov_folded(P1, BOX1, "dirichlet", x, y, radius)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^radius must be an integer >= [01], got "):
+            call()
+    with pytest.raises(ValueError, match=r"^radius must be an integer >= 1, got 0$"):
+        image_tail_bound(P1, BOX1, 0)
+
+
+def test_integer_radius_types_agree():
+    pts = [[0.3], [0.7]]
+    ref = cov_folded_gram(P1, BOX1, "neumann", pts, 3)
+    got = cov_folded_gram(P1, BOX1, "neumann", pts, np.int64(3))
+    assert np.array_equal(ref[0], got[0]) and ref[1] == got[1]
+    assert cov_folded(P1, BOX1, "neumann", [0.3], [0.7], np.int32(0)).radius == 0
