@@ -11,18 +11,24 @@ u = (n + 1/2) * 2^-53 in (0, 1), mapped through the inverse normal CDF.
 Modes are ordered exactly as in the spectral mode system (axis 0 slowest).
 Distinct seeds are independent streams, so samples can be generated in
 parallel with no shared state.  ``sample_ensemble`` draws in blocks of
-seeds, each draw bit for bit its own; ``sample_field`` is the one-draw
-ensemble.  Grids (``matern.as_points``) must lie in the closed box.
+seeds, each draw bit for bit its own, and runs the blocks on the spectral
+module's thread pool (one thread per CPU in the process's affinity mask;
+``taskset`` limits it), each thread re-keying its own Philox generator;
+the draws are the same on any number of threads.  ``sample_field`` is the
+one-draw ensemble.  Grids (``matern.as_points``) must lie in the closed box.
 """
 
 from __future__ import annotations
 
+import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matern import MaternParams, as_points
-from .spectral import _BLOCK_VALUES, BoundarySpec, BoxDomain, TruncationSpec, mode_system
+from .spectral import (_BLOCK_VALUES, BoundarySpec, BoxDomain, TruncationSpec, _map_blocks,
+                       mode_system)
 
 __all__ = ["EmpiricalCov", "FieldSample", "empirical_cov", "sample_ensemble", "sample_field"]
 
@@ -31,6 +37,8 @@ _MASK64 = 2 ** 64 - 1
 # draws whose noise is made, scaled and mapped through the modes together,
 # at most _BLOCK_VALUES noise values at a time
 _BLOCK = 256
+# one Philox generator per thread that draws, re-keyed per seed
+_local = threading.local()
 
 
 @dataclass(frozen=True)
@@ -65,14 +73,16 @@ def _standard_normals(philox: np.random.Philox, seeds, count: int) -> np.ndarray
     from scipy.special import ndtri  # slow to import; only drawing needs it
     gen = np.random.Generator(philox)
     u = np.empty((len(seeds), count))
+    # the state Philox(key=seed) starts in: counter 0, empty output buffer;
+    # the setter copies it, so one dict serves every seed
+    key = np.empty(2, np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": key},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     for row, seed in zip(u, seeds):
-        # the state Philox(key=seed) starts in: counter 0, empty output buffer
-        philox.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64),
-                      "key": np.array([seed & _MASK64, seed >> 64], np.uint64)},
-            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+        key[0], key[1] = seed & _MASK64, seed >> 64
+        philox.state = state
         gen.random(out=row)
     u += _HALF_STEP
     return ndtri(u, out=u)
@@ -88,30 +98,40 @@ def sample_ensemble(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
                     grid, trunc: TruncationSpec, seed: int, n: int):
     """n samples with consecutive seeds seed, seed+1, ...
 
-    The mode system and one Philox generator, re-keyed per seed, are built
-    once; seeds lie in [0, 2^128), Philox's key range.  Each sample's grid
-    is the grid as ``matern.as_points`` reads it, of shape (points, d).
-    Draws run in blocks of up to ``_BLOCK`` seeds; each draw's values are
-    bit for bit (coef * normals) @ modes of that draw alone.
+    ``seed`` and ``n`` are integers (numpy's included); seeds lie in
+    [0, 2^128), Philox's key range.  The mode system is built once.  Each
+    sample's grid is the grid as ``matern.as_points`` reads it, of shape
+    (points, d).  Draws run in blocks of up to ``_BLOCK`` seeds, spread over
+    the spectral module's thread pool, each thread with its own Philox
+    generator re-keyed per seed; each draw's values are bit for bit
+    (coef * normals) @ modes of that draw alone.
     """
+    for name, value in (("seed", seed), ("n", n)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    seed, n = int(seed), int(n)
     if n < 1:
-        raise ValueError("n must be >= 1")
-    seed = int(seed)
+        raise ValueError(f"n must be >= 1, got {n!r}")
     if not (0 <= seed and seed + n <= 2 ** 128):
         raise ValueError("key must be positive and less than 2**128.")
     lam, modes = mode_system(params, bc, box, grid, trunc)
     grid = as_points(grid, box.d)
     coef = np.sqrt(params.eta2) * lam ** (-params.alpha / 2.0)
-    philox = np.random.Philox()
     block = max(1, min(_BLOCK, _BLOCK_VALUES // coef.size))
-    samples = []
-    for first in range(seed, seed + n, block):
-        seeds = range(first, min(first + block, seed + n))
-        xi = _standard_normals(philox, seeds, coef.size)
+
+    def draw(first):
+        if not hasattr(_local, "philox"):
+            _local.philox = np.random.Philox()
+        xi = _standard_normals(_local.philox, range(first, min(first + block, seed + n)),
+                               coef.size)
         xi *= coef
-        values = np.matmul(xi[:, None, :], modes)[:, 0, :]
-        samples.extend(FieldSample(grid=grid, values=v, seed=s, bc=bc, trunc=trunc)
-                       for s, v in zip(seeds, values))
+        return np.matmul(xi[:, None, :], modes)[:, 0, :]
+
+    firsts = range(seed, seed + n, block)
+    samples = []
+    for first, values in zip(firsts, _map_blocks(draw, firsts)):
+        samples.extend(FieldSample(grid=grid, values=v, seed=first + i, bc=bc, trunc=trunc)
+                       for i, v in enumerate(values))
     return samples
 
 

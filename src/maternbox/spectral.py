@@ -14,16 +14,22 @@ angles only and combine them by angle addition.  It yields the table in
 consecutive row blocks of about ``_BLOCK_VALUES`` = 2^16 values: a D/N/P
 block is a run of whole anchors, a Robin block a run of roots, and every
 value is formed elementwise, so each row has the same bits however the
-table is blocked.  The d = 1 modal sum adds V_b^T (w_b V_b) block by block,
-so it holds O(block + points^2) values whatever kmax is; ``mode_system``,
-``eigenpair`` and the d >= 2 sums read the blocks stacked
-(``_axis_mu_values``).  In d >= 2 each axis forms its pair-product
-columns w(x) w(y) once per distinct unordered coordinate pair and sums the
-modes that share an eigenvalue (periodic cos_k and sin_k) into one row;
-the modal sum contracts the first two axes as a matrix product over those
-distinct columns, one row and column per eigenvalue, formed in blocks of
-rows, gathers each Gram pair's columns by index, and sums the remaining
-axes eigenvalue by eigenvalue (``_axis_pair_columns``).
+table is blocked.  Robin blocks are evaluated on a thread pool of one
+thread per CPU in the process's affinity mask and consumed in order
+(``_map_blocks``, which the sampler's draw blocks use too), so each block
+has the bits it has on one thread.  The d = 1 modal sum adds
+V_b^T (w_b V_b) block by block, so it holds O(block + points^2) values
+whatever kmax is; ``mode_system``, ``eigenpair`` and the d >= 2 sums read
+the blocks stacked (``_axis_mu_values``).  In d >= 2 each axis forms its
+pair-product columns w(x) w(y) once per distinct unordered coordinate pair
+and sums the modes that share an eigenvalue (periodic cos_k and sin_k)
+into one row; the modal sum contracts the first two axes as a matrix
+product over those distinct columns, one row and column per eigenvalue,
+formed in blocks of rows, then dots the distinct (axis 1, axis 2) column
+combinations the Gram pairs read, a chunk of about ``_BLOCK_VALUES``
+values at a time, and sums the remaining axes eigenvalue by eigenvalue
+(``_axis_pair_columns``).  Its memory grows like kmax times the distinct
+columns, not kmax times the pairs.
 
 Periodic complex exponentials are realized as real cosine/sine pairs with
 matching normalization, so all arithmetic stays real.
@@ -39,9 +45,13 @@ must lie in the closed box.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -67,6 +77,59 @@ __all__ = [
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 # values per block of a mode table, of a d >= 2 weight matrix and of sampler noise
 _BLOCK_VALUES = 2 ** 16
+
+# (workers, executor) of _map_blocks: one thread per CPU the process may run
+# on, made on first use and dropped in a forked child, whose copy of the
+# pool has no threads
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _block_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity mask on this platform
+                workers = os.cpu_count() or 1
+            _pool = (workers, ThreadPoolExecutor(workers, "maternbox") if workers > 1 else None)
+        return _pool
+
+
+def _map_blocks(fn, blocks):
+    """Yield fn(b) for each b of the sequence ``blocks``, in order.
+
+    The calls run on the module's thread pool, at most as many beyond the
+    one being consumed as the pool has workers, so memory stays bounded as
+    in a serial stream; with one worker or one block they run in the
+    caller.  ``fn`` must not submit to the pool (a pool thread would wait
+    on itself) and must not call a name in a layer module's ``__all__``
+    (bench/spans.py keeps one span stack, which is not thread-safe).
+    """
+    workers, pool = _block_pool()
+    if workers < 2 or len(blocks) < 2:
+        yield from map(fn, blocks)
+        return
+    todo = iter(blocks)
+    pending = deque(pool.submit(fn, b) for b in islice(todo, workers))
+    try:
+        while pending:
+            done = pending.popleft()
+            pending.extend(pool.submit(fn, b) for b in islice(todo, 1))
+            yield done.result()
+    finally:  # an abandoned or failed stream leaves no work queued
+        for future in pending:
+            future.cancel()
 
 
 @dataclass(frozen=True)
@@ -421,18 +484,22 @@ def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray)
     exactly; the others move by rounding only (README, numerical notes).
     A D/N/P block is a run of whole anchors q, a Robin block a run of roots;
     every value is formed elementwise, so no row depends on the blocking.
+    Robin blocks run on the thread pool of ``_map_blocks``.
     """
     x = np.asarray(coords, dtype=float)
     n = max(x.size, 1)
     if bc.kind == "robin":
         eig = _robin_cached(bc.beta, L, kmax + 1)
         rows = max(1, _BLOCK_VALUES // n)
-        for i in range(0, kmax + 1, rows):
+
+        def robin_block(i):
             part = RobinEigen1D(eig.h, eig.ell_axis, eig.alphas[i:i + rows],
                                 eig.norms[i:i + rows])
             vals = part.evaluate(x)
             vals /= np.sqrt(part.norms)[:, None]
-            yield part.omegas ** 2, vals
+            return part.omegas ** 2, vals
+
+        yield from _map_blocks(robin_block, range(0, kmax + 1, rows))
         return
     freq = 2.0 * math.pi if bc.kind == "periodic" else np.pi
     step = math.isqrt(kmax) + 1
@@ -596,7 +663,8 @@ def _plain_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     In d = 1 the mode table streams through in row blocks, each adding
     V_b^T (w_b V_b), so it never exists whole; one triangle is mirrored.
     In d >= 2 the weights of the first two axes are formed in row blocks,
-    each multiplied into its rows of W @ G2.
+    each multiplied into its rows of W @ G2; each distinct pair of axis 1
+    and axis 2 columns is dotted once and scattered to the Gram pairs.
     """
     n = pts.shape[0]
     kappa2 = params.kappa ** 2
@@ -616,9 +684,13 @@ def _plain_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     axes = [_axis_pair_columns(bc, box.lengths[i], kmax, pts[:, i], iu)
             for i in range(box.d)]
     (mu1, G1, col1), (mu2, G2, col2) = axes[:2]
-    G1 = G1[:, col1]
+    # the distinct (col1, col2) combinations the pairs read, combo[inv] per pair
+    combo, inv = np.unique(col1 * G2.shape[1] + col2, return_inverse=True)
+    c1, c2 = np.divmod(combo, G2.shape[1])
     WG = np.empty((mu1.size, G2.shape[1]))
     rows = max(1, _BLOCK_VALUES // max(mu2.size, 1))
+    cols = max(1, _BLOCK_VALUES // max(mu1.size, 1))
+    dots = np.empty(combo.size)
     vals = np.zeros(iu[0].size)
     # axes 1 and 2 contracted as a matrix product over their distinct
     # columns, axes 3.. summed eigenvalue by eigenvalue
@@ -632,7 +704,12 @@ def _plain_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
             W **= -alpha
             W *= params.eta2
             np.matmul(W, G2, out=WG[i:i + rows])
-        term = np.einsum("ip,ip->p", G1, WG[:, col2])
+        # gathered columns are Fortran-ordered, so each dot runs down its own
+        # column and has the same bits in any chunk
+        for j in range(0, combo.size, cols):
+            part = slice(j, j + cols)
+            np.einsum("ip,ip->p", G1[:, c1[part]], WG[:, c2[part]], out=dots[part])
+        term = dots[inv]
         for (_, g, col), c in zip(axes[2:], idx):
             term *= g[c, col]
         vals += term

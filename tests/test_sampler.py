@@ -200,3 +200,27 @@ def test_blocks_capped_by_noise_values(monkeypatch):
     ens = sample_ensemble(p, bc, box, pts, tr, 40, 7)
     for i, s in enumerate(ens):
         assert np.array_equal(s.values, _per_draw_reference(p, bc, box, pts, tr, 40 + i))
+
+
+@pytest.mark.parametrize("name, seed, n", [
+    ("seed", 1.5, 2), ("seed", "7", 2), ("seed", 7.0, 2), ("seed", None, 2),
+    ("n", 7, 2.0), ("n", 7, "2"), ("n", 7, None)])
+def test_seed_and_count_must_be_integers(name, seed, n):
+    # a fractional seed would silently draw int(seed)'s stream
+    p, box, pts, tr = _setup(n=4, kmax=20)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        sample_ensemble(p, BoundarySpec.neumann(), box, pts, tr, seed, n)
+
+
+def test_integer_seed_and_count_types_agree():
+    p, box, pts, tr = _setup(n=4, kmax=20)
+    bc = BoundarySpec.neumann()
+    ref = sample_ensemble(p, bc, box, pts, tr, 7, 3)
+    for seed, n in ((np.int64(7), np.int32(3)), (np.uint64(7), 3)):
+        got = sample_ensemble(p, bc, box, pts, tr, seed, n)
+        assert [s.seed for s in got] == [7, 8, 9]
+        assert all(type(s.seed) is int for s in got)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(ref, got))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got "):
+            sample_ensemble(p, bc, box, pts, tr, 7, n)

@@ -1,12 +1,18 @@
 """Box eigenpairs, Robin roots, and the truncated modal covariance."""
 
 import math
+import multiprocessing
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
 
 from maternbox import spectral
+from maternbox.sampler import sample_ensemble
 from maternbox.matern import derive_params, matern_cov, matern_gram
 from maternbox.specfun import ConvergenceError
 from maternbox.spectral import (
@@ -657,3 +663,201 @@ def test_d1_modal_gram_memory_independent_of_kmax():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20, peak
+
+
+def _pair_gather_reference(p, bc, box, pts, kmax):
+    # the d >= 2 contraction as each Gram pair gathering its own columns:
+    # the same W row blocks and the same einsum over Fortran-ordered gathers
+    n = pts.shape[0]
+    iu = np.triu_indices(n)
+    axes = [spectral._axis_pair_columns(bc, box.lengths[i], kmax, pts[:, i], iu)
+            for i in range(box.d)]
+    (mu1, G1, col1), (mu2, G2, col2) = axes[:2]
+    G1 = G1[:, col1]
+    WG = np.empty((mu1.size, G2.shape[1]))
+    rows = max(1, spectral._BLOCK_VALUES // max(mu2.size, 1))
+    vals = np.zeros(iu[0].size)
+    for idx in product(*(range(mu.size) for mu, _, _ in axes[2:])):
+        shift = sum(mu[c] for (mu, _, _), c in zip(axes[2:], idx))
+        for i in range(0, mu1.size, rows):
+            W = mu1[i:i + rows, None] + mu2[None, :] + shift
+            W /= p.kappa ** 2
+            W += 1.0
+            W **= -p.alpha
+            W *= p.eta2
+            np.matmul(W, G2, out=WG[i:i + rows])
+        term = np.einsum("ip,ip->p", G1, WG[:, col2])
+        for (_, g, col), c in zip(axes[2:], idx):
+            term *= g[c, col]
+        vals += term
+    gram = np.empty((n, n))
+    gram[iu] = vals
+    gram.T[iu] = vals
+    return gram
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "periodic", "robin"])
+def test_distinct_column_contraction_equals_pair_gathers_bitwise(kind):
+    # chunks of distinct (col1, col2) combinations, scattered to the pairs,
+    # give each pair the bits of its own gathered columns; kmax 300 takes
+    # several chunks, the one- and three-point sets one
+    bc = BoundarySpec(kind, 2.5 if kind == "robin" else None)
+    for d, kmax, n in ((2, 300, 5), (2, 30, 10), (3, 6, 4)):
+        p = derive_params(1.0, 0.1, 1.0, d)
+        box = BoxDomain(delta=0.2, ell=1.0, lengths=(1.2, 1.7, 1.45)[:d], d=d)
+        ax = np.linspace(0.1, 1.1, n)
+        grid = np.stack([a.ravel() for a in np.meshgrid(*[ax] * d, indexing="ij")], axis=-1)
+        for pts in (grid, grid[:1], grid[[0, 0, 3]]):
+            ref = _pair_gather_reference(p, bc, box, pts, kmax)
+            assert np.array_equal(plain_spectral_gram(p, bc, box, pts, TruncationSpec(kmax)),
+                                  ref), (d, kmax, len(pts))
+
+
+def test_d2_modal_gram_memory_not_per_pair():
+    # a 10 x 10 grid has 5050 pairs; gathering two (1001 x 5050) column
+    # arrays per pair peaked at 82.7 MB, chunks of distinct columns at 2.9 MB
+    import tracemalloc
+
+    p = derive_params(1.0, 0.1, 1.0, 2)
+    box = BoxDomain.cubic(0.2, 1.0, 2)
+    ax = np.linspace(0.1, 1.1, 10)
+    pts = np.stack([a.ravel() for a in np.meshgrid(ax, ax, indexing="ij")], axis=-1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plain_spectral_gram(p, BoundarySpec.neumann(), box, pts, TruncationSpec(1000))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20, peak
+
+
+class _CountingPool(ThreadPoolExecutor):
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def block_pool(monkeypatch):
+    """Install a pool of the given worker count in place of the module's own."""
+    made = []
+
+    def install(workers):
+        pool = _CountingPool(workers)
+        made.append(pool)
+        monkeypatch.setattr(spectral, "_pool", (workers, pool))
+        return pool
+
+    yield install
+    for pool in made:
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _joined(fn, timeout=120.0):
+    """fn() run in a thread joined with a timeout, so a deadlock fails instead of hanging."""
+    out = []
+
+    def run():
+        try:
+            out.append((True, fn()))
+        except BaseException as exc:  # handed back to the test below
+            out.append((False, exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "no result within the timeout: deadlock?"
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+# a Robin Gram over 5 mode blocks (15 points: 4369 roots a block) and a
+# periodic ensemble over 3 draw blocks (201 modes: 256 draws a block)
+_P1 = derive_params(1.0, 0.1, 0.5, 1)
+_BOX1 = BoxDomain.cubic(0.2, 1.0, 1)
+_PTS1 = np.linspace(0.1, 1.1, 15)[:, None]
+
+
+def _pooled_work():
+    gram, tail = cov_spectral_gram(_P1, BoundarySpec.robin(3.0), _BOX1, _PTS1,
+                                   TruncationSpec(20000))
+    ens = sample_ensemble(_P1, BoundarySpec.periodic(), _BOX1, _PTS1[::2], TruncationSpec(100),
+                          77, 700)
+    return gram, tail, np.stack([s.values for s in ens])
+
+
+def _assert_same_work(a, b):
+    assert np.array_equal(a[0], b[0]) and a[1] == b[1] and np.array_equal(a[2], b[2])
+
+
+def test_map_blocks_keeps_order_and_bounds_work_in_flight(block_pool):
+    pool = block_pool(3)
+    for i, value in enumerate(_joined(lambda: list(spectral._map_blocks(
+            lambda b: (b * b, pool.submitted), range(20))))):
+        # block i ran with at most 3 blocks submitted beyond it
+        assert value[0] == i * i and value[1] <= i + 1 + 3
+    assert pool.submitted == 20
+    pool = block_pool(1)
+    assert _joined(lambda: list(spectral._map_blocks(lambda b: -b, range(5)))) == [0, -1, -2, -3, -4]
+    assert pool.submitted == 0  # one worker: the caller runs every block
+
+
+def test_one_and_three_worker_pools_agree_bitwise(block_pool):
+    serial_pool = block_pool(1)
+    serial = _joined(_pooled_work)
+    pool = block_pool(3)
+    pooled = _joined(_pooled_work)
+    assert serial_pool.submitted == 0 and pool.submitted >= 5 + 3
+    _assert_same_work(serial, pooled)
+
+
+def test_concurrent_callers_get_the_serial_results(block_pool):
+    block_pool(1)
+    serial = _joined(_pooled_work)
+    block_pool(3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = [None] * 4
+        threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, _pooled_work()),
+                                    daemon=True) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(240.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads), "deadlock?"
+    for result in results:
+        _assert_same_work(serial, result)
+
+
+def _draw_in_child(conn):
+    conn.send(_pooled_work()[2])
+    conn.close()
+
+
+def test_forked_child_draws_what_the_parent_drew(block_pool):
+    block_pool(3)
+    parent = _joined(_pooled_work)[2]  # the pool's threads now exist
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_draw_in_child, args=(send,), daemon=True)
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(120.0), "no draws from the child within the timeout: deadlock?"
+        drawn = recv.recv()
+    finally:
+        child.join(30.0)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    assert np.array_equal(drawn, parent)
