@@ -17,8 +17,13 @@ are formed once per distinct |x - eps.y| row (componentwise); that is
 exact because the lattice offsets are symmetric, IEEE negation is exact
 and every sum is exactly rounded: long rows are summed by exact integer
 bucket sums per binary exponent (``_row_fsums``), whose ``math.fsum`` is
-the ``math.fsum`` of the row, bit for bit.  The kernel is evaluated once
-per distinct image distance.  The tail adds, over the reflection families,
+the ``math.fsum`` of the row, bit for bit.  Where the first two axes share
+a period, rows (a, b, ...) and (b, a, ...) have the same image distances bit
+for bit (axis 1 is added to axis 0 first, and addition commutes), so they
+share one row.  The rows are split into one run per thread of the block pool
+(``_blocks``): each run forms its distances and later its row sums on the
+pool, and the kernel is evaluated once per distinct image distance across
+all runs, in the caller.  The tail adds, over the reflection families,
 the remainder at that family's largest pair separation, so a one-point Gram
 certifies exactly what the pair function does.  The default radius is the
 smallest whose tail, that same per-family sum, meets the tolerance; the
@@ -37,6 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._blocks import _block_pool, _map_blocks
 from .matern import MaternParams, as_points, check_dimension, decay_factor, unit_matern
 
 if TYPE_CHECKING:
@@ -126,9 +132,10 @@ class _Tails:
 
     f(period_min) is evaluated once per instance, and the kernel once per
     block of 96 shells, so a radius search (``pick``) and the tail it returns
-    read one table.  Each radius still gets the same terms in the same
-    (families, shells) array and the same ``np.sum``, so its tail does not
-    depend on which radii were asked before.
+    read one table.  The search evaluates the candidate radii the table
+    holds at once; each radius gets the same terms, summed as one row of
+    families x shells, so its tail does not depend on which radii were
+    asked before or are evaluated with it.
     """
 
     def __init__(self, params: MaternParams, period_min: float, seps):
@@ -143,9 +150,8 @@ class _Tails:
         self.dead = dead
         self.kernel = np.ones((self.seps.size, 0))  # column k holds shell dead + 1 + k
 
-    def _shells(self, skip: np.ndarray) -> np.ndarray:
-        """Kernel at the 49 shells from dead + 1 + skip on, per family."""
-        need = int(skip.max()) + _CLOSURE_SHELLS + 1
+    def _table(self, need: int) -> np.ndarray:
+        """The kernel table, grown by blocks of 96 shells to hold ``need`` per family."""
         have = self.kernel.shape[1]
         if need > have:
             ks = np.arange(have, max(need, have + _TAIL_BLOCK), dtype=float)
@@ -154,34 +160,65 @@ class _Tails:
             live = dist > 0  # false only beyond 2^53 periods, where dead + 1 + k rounds
             vals[live] = unit_matern(self.params.nu, self.params.kappa * dist[live])
             self.kernel = np.concatenate([self.kernel, vals], axis=1)
-        cols = skip.astype(int)[:, None] + np.arange(_CLOSURE_SHELLS + 1)
-        return np.take_along_axis(self.kernel, cols, axis=1)
+        return self.kernel
 
-    def __call__(self, radius: int) -> float:
+    def _skips(self, radii: np.ndarray):
+        """Per radius and family the first shell past both the radius and
+        ``dead``, and its column in the table."""
+        first = np.maximum(radii[:, None], self.dead) + 1.0
+        return first, first - self.dead - 1.0
+
+    def _needs(self, radii: np.ndarray) -> np.ndarray:
+        """The table columns each radius reads."""
+        return self._skips(radii)[1].max(axis=1).astype(int) + _CLOSURE_SHELLS + 1
+
+    def _tails(self, radii: np.ndarray) -> np.ndarray:
+        """The tail of each integer radius in ``radii``; the table must hold
+        their shells.  Each radius's terms are summed as one row, as one
+        radius alone sums them."""
         d = self.params.d
-        first = np.maximum(radius, self.dead) + 1.0
-        js = first[:, None] + np.arange(_CLOSURE_SHELLS + 1.0)
-        j_close = radius + 1 + _CLOSURE_SHELLS * np.maximum(
-            1.0, np.ceil((first - radius - 1) / _CLOSURE_SHELLS))
+        r = radii[:, None]
+        first, skip = self._skips(radii)
+        js = first[..., None] + np.arange(_CLOSURE_SHELLS + 1.0)
+        j_close = r + 1 + _CLOSURE_SHELLS * np.maximum(
+            1.0, np.ceil((first - r - 1) / _CLOSURE_SHELLS))
         # sum_{j >= J} 2d (3j)^(d-1) f^(j-J) <= 2d (3J)^(d-1) (d-1)! / (1-f)^d
         closure = ((3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1)
                    / (1.0 - self.f) ** d)
-        weight = np.where(js < j_close[:, None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
-        weight = np.where(js == j_close[:, None], closure[:, None], weight)
-        vals = self._shells(first - self.dead - 1.0)
-        ones = (2 * first - 1) ** d - (2 * radius + 1) ** d  # shells radius + 1 .. dead
-        return self.params.sigma2 * float(np.sum(ones) + np.sum(weight * vals))
+        weight = np.where(js < j_close[..., None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
+        weight = np.where(js == j_close[..., None], closure[..., None], weight)
+        cols = skip.astype(int)[..., None] + np.arange(_CLOSURE_SHELLS + 1)
+        vals = self.kernel[np.arange(self.seps.size)[:, None], cols]
+        ones = (2 * first - 1) ** d - (2 * r + 1) ** d  # shells radius + 1 .. dead
+        terms = (weight * vals).reshape(len(radii), -1)
+        return self.params.sigma2 * (np.sum(ones, axis=1) + np.sum(terms, axis=1))
+
+    def __call__(self, radius: int) -> float:
+        radii = np.array([radius])
+        self._table(self._needs(radii)[0])
+        return float(self._tails(radii)[0])
 
     def pick(self, tol: float, fallback: float = -math.inf) -> int:
         """Smallest radius up to 128 whose tail is <= tol, else the smallest
-        whose tail is <= ``fallback``, else ``ValueError``."""
+        whose tail is <= ``fallback``, else ``ValueError``.
+
+        The radii are evaluated in runs that the table holds, and the table
+        grows when the next radius needs it, as a radius-by-radius search
+        grows it."""
+        radii = np.arange(1, _MAX_RADIUS + 1)
+        need = self._needs(radii)
         backup = None
-        for radius in range(1, _MAX_RADIUS + 1):
-            tail = self(radius)
-            if tail <= tol:
-                return radius
-            if backup is None and tail <= fallback:
-                backup = radius
+        lo = 0
+        while lo < radii.size:
+            have = self._table(need[lo]).shape[1]
+            hi = int(np.searchsorted(need, have, side="right"))
+            tails = self._tails(radii[lo:hi])
+            hits = np.flatnonzero(tails <= tol)
+            if hits.size:
+                return int(radii[lo + hits[0]])
+            if backup is None and np.any(tails <= fallback):
+                backup = int(radii[lo + np.argmax(tails <= fallback)])
+            lo = hi
         if backup is None:
             raise ValueError(f"no radius up to {_MAX_RADIUS} certifies a tail below {tol}; "
                              "pass an explicit radius")
@@ -310,9 +347,12 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     Returns (values, radius, tail).  Reflection eps contributes the images
     of u = x - eps.y, formed once per distinct |u| row: the offsets are
     symmetric per axis and IEEE negation is exact, so u and |u| have images
-    at the same distances, bit for bit.  Each row keeps its distinct image
-    squared distances with their counts (``_row_distances``), and the
-    kernel is evaluated once per distinct distance across rows.  Each row's
+    at the same distances, bit for bit; with equal periods on axes 0 and 1
+    the first two components are sorted, as (a, b, ...) and (b, a, ...)
+    have the same distances too.  Each row keeps its distinct image squared
+    distances with their counts (``_row_distances``, one run of rows per
+    pool thread), and the kernel is evaluated once per distinct distance
+    across rows.  Each row's
     images, then each pair's signed family sums, are summed exactly rounded
     (``_row_fsums`` equals ``math.fsum`` of the row's images), so no order
     matters.  The tail sums, over the reflections, the certified remainder
@@ -334,11 +374,17 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     else:
         radius = _check_radius(radius, 0)
     keys = u.reshape(-1, d)
+    if d >= 2 and periods[0] == periods[1]:  # rows (a, b, ...) and (b, a, ...) share images
+        keys = np.column_stack([np.sort(keys[:, :2], axis=1), keys[:, 2:]])
     if drop_identity:  # identity rows apart: only their zero shift is dropped
         keys = np.column_stack([keys, np.arange(len(keys)) < i.size])
     rows, row_of = np.unique(keys, axis=0, return_inverse=True)
     dropped = rows[:, -1] == 1 if drop_identity else np.zeros(len(rows), dtype=bool)
-    dist2, inv, counts, row = _row_distances(rows[:, :d], periods, radius, dropped)
+    # one run of rows per pool worker, each deduplicating its own distances
+    runs = np.array_split(np.arange(len(rows)), min(_block_pool()[0], len(rows)))
+    parts = list(_map_blocks(
+        lambda run: _row_distances(rows[run, :d], periods, radius, dropped[run]), runs))
+    dist2, where = np.unique(np.concatenate([part[0] for part in parts]), return_inverse=True)
     # dist2 is sorted, so equal square roots are adjacent: one kernel value each
     kept = dist2 >= 0.0  # the dropped zero shifts read 0
     r = np.sqrt(dist2[kept])
@@ -348,7 +394,9 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     mvals[kept] = (params.sigma2 * unit_matern(params.nu, params.kappa * r[first]))[
         np.cumsum(first) - 1]
     del r, first  # freed before the row sums
-    row_sums = _row_fsums(mvals, inv, counts, row, len(rows))
+    where = np.split(where, np.cumsum([part[0].size for part in parts])[:-1])
+    sums = [(mvals[w], *part[1:], run.size) for run, part, w in zip(runs, parts, where)]
+    row_sums = np.concatenate(list(_map_blocks(lambda a: _row_fsums(*a), sums)))
     sign = np.prod(eps, axis=1, keepdims=True) if kind == "dirichlet" else 1.0
     family_sums = sign * row_sums[row_of.reshape(u.shape[:2])]
     vals = np.array([math.fsum(col) for col in family_sums.T.tolist()])

@@ -11,8 +11,8 @@ u = (n + 1/2) * 2^-53 in (0, 1), mapped through the inverse normal CDF.
 Modes are ordered exactly as in the spectral mode system (axis 0 slowest).
 Distinct seeds are independent streams, so samples can be generated in
 parallel with no shared state.  ``sample_ensemble`` draws in blocks of
-seeds, each draw bit for bit its own, and runs the blocks on the spectral
-module's thread pool (one thread per CPU in the process's affinity mask;
+seeds, each draw bit for bit its own, and runs the blocks on the package's
+block pool (``_blocks``: one thread per CPU in the process's affinity mask;
 ``taskset`` limits it), each thread re-keying its own Philox generator;
 the draws are the same on any number of threads.  ``sample_field`` is the
 one-draw ensemble.  Grids (``matern.as_points``) must lie in the closed box.
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import _map_blocks
 from .matern import MaternParams, as_points
-from .spectral import (_BLOCK_VALUES, BoundarySpec, BoxDomain, TruncationSpec, _map_blocks,
-                       mode_system)
+from .spectral import _BLOCK_VALUES, BoundarySpec, BoxDomain, TruncationSpec, mode_system
 
 __all__ = ["EmpiricalCov", "FieldSample", "empirical_cov", "sample_ensemble", "sample_field"]
 
@@ -102,7 +102,7 @@ def sample_ensemble(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     [0, 2^128), Philox's key range.  The mode system is built once.  Each
     sample's grid is the grid as ``matern.as_points`` reads it, of shape
     (points, d).  Draws run in blocks of up to ``_BLOCK`` seeds, spread over
-    the spectral module's thread pool, each thread with its own Philox
+    the block pool (``_blocks._map_blocks``), each thread with its own Philox
     generator re-keyed per seed; each draw's values are bit for bit
     (coef * normals) @ modes of that draw alone.
     """

@@ -10,7 +10,10 @@ Two independent evaluation routes for ``K_nu(x)`` live here on purpose:
   exactly its single-point evaluation; every other step is elementwise.
   The series stops when its whole batch has converged, past each point's
   own step by terms below 1e-17 of its sum; tests pin that batched and
-  single evaluations are bitwise equal across both branches;
+  single evaluations are bitwise equal across both branches.  A large
+  batch is split into fixed blocks of ``_POINT_BLOCK`` points that run on
+  the block pool (``_blocks``), which that equality makes invisible in the
+  result;
 * a slow quadrature route built on the integral representation
 
       K_nu(x) = (1/2) (x/2)^(-nu) * int_0^inf t^(nu-1) exp(-t - x^2/(4t)) dt,
@@ -29,6 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._blocks import _map_blocks
 
 __all__ = [
     "BesselEval",
@@ -53,6 +58,9 @@ _LOG_RESCALE = math.log(_RESCALE)
 _SERIES_MAX = 600
 _CF_MAX = 30000
 _QUAD_REL_TOL = 1e-12
+# points per block of a pooled batch: fixed, since a block's cost follows its
+# arguments (small x takes more continued-fraction steps), not its position
+_POINT_BLOCK = 2 ** 14
 
 
 class ConvergenceError(RuntimeError):
@@ -201,23 +209,9 @@ def _kmu_cf2(mu: float, x: np.ndarray):
     return kmu, kmu1
 
 
-def log_bessel_k(nu: float, x) -> np.ndarray:
-    """log K_nu(x), elementwise over x, on the fast production path.
-
-    Negative orders are reflected to |nu| (K is even in the order).
-    """
-    nu = float(nu)
-    if not math.isfinite(nu):
-        raise ValueError(f"order must be finite, got {nu!r}")
-    nu = abs(nu)
-    xa = np.asarray(x, dtype=float)
-    squeeze = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    if xa.size and (not np.all(np.isfinite(xa)) or np.any(xa <= 0.0)):
-        raise ValueError("bessel argument must be finite and > 0")
-
-    n = int(nu + 0.5)
-    mu = nu - n  # |mu| <= 1/2
+def _log_k_block(n: int, mu: float, xa: np.ndarray) -> np.ndarray:
+    """log K_{n + mu}(x) for a block of arguments x > 0: series or continued
+    fraction at order mu, then upward recurrence to n + mu."""
     out = np.empty_like(xa)
     small = xa <= 2.0
     for mask in (small, ~small):
@@ -241,6 +235,36 @@ def log_bessel_k(nu: float, x) -> np.ndarray:
                 khi[big] /= _RESCALE
                 logscale[big] += _LOG_RESCALE
         out[mask] = np.log(klo) + logscale
+    return out
+
+
+def log_bessel_k(nu: float, x) -> np.ndarray:
+    """log K_nu(x), elementwise over x, on the fast production path.
+
+    Negative orders are reflected to |nu| (K is even in the order).  A batch
+    of more than ``_POINT_BLOCK`` points is evaluated in blocks of that many
+    on the block pool; each point's value is its single-point value, so the
+    blocking does not show in the result.
+    """
+    nu = float(nu)
+    if not math.isfinite(nu):
+        raise ValueError(f"order must be finite, got {nu!r}")
+    nu = abs(nu)
+    xa = np.asarray(x, dtype=float)
+    squeeze = xa.ndim == 0
+    xa = np.atleast_1d(xa)
+    if xa.size and (not np.all(np.isfinite(xa)) or np.any(xa <= 0.0)):
+        raise ValueError("bessel argument must be finite and > 0")
+
+    n = int(nu + 0.5)
+    mu = nu - n  # |mu| <= 1/2
+    flat = xa.ravel()
+    starts = range(0, flat.size, _POINT_BLOCK)
+    out = np.empty_like(flat)
+    for i, part in zip(starts, _map_blocks(
+            lambda i: _log_k_block(n, mu, flat[i:i + _POINT_BLOCK]), starts)):
+        out[i:i + _POINT_BLOCK] = part
+    out = out.reshape(xa.shape)
     if not np.all(np.isfinite(out)):
         bad = xa[~np.isfinite(out)]
         raise ConvergenceError(f"non-finite K evaluation (nu={nu}, x={bad[:5]})")

@@ -14,10 +14,11 @@ angles only and combine them by angle addition.  It yields the table in
 consecutive row blocks of about ``_BLOCK_VALUES`` = 2^16 values: a D/N/P
 block is a run of whole anchors, a Robin block a run of roots, and every
 value is formed elementwise, so each row has the same bits however the
-table is blocked.  Robin blocks are evaluated on a thread pool of one
-thread per CPU in the process's affinity mask and consumed in order
-(``_map_blocks``, which the sampler's draw blocks use too), so each block
-has the bits it has on one thread.  The d = 1 modal sum adds
+table is blocked.  Robin blocks are evaluated on the package's block pool,
+one thread per CPU in the process's affinity mask, and consumed in order
+(``_blocks._map_blocks``, which the sampler's draw blocks, the folded Gram's
+row runs and the kernel's point blocks use too), so each block has the bits
+it has on one thread.  The d = 1 modal sum adds
 V_b^T (w_b V_b) block by block, so it holds O(block + points^2) values
 whatever kmax is; ``mode_system``, ``eigenpair`` and the d >= 2 sums read
 the blocks stacked (``_axis_mu_values``).  In d >= 2 each axis forms its
@@ -45,16 +46,13 @@ must lie in the closed box.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
+from ._blocks import _map_blocks
 from .folded import _DEFAULT_TAIL_FACTOR, _gram
 from .matern import MaternParams, as_points, check_dimension
 from .specfun import ConvergenceError
@@ -77,59 +75,6 @@ __all__ = [
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 # values per block of a mode table, of a d >= 2 weight matrix and of sampler noise
 _BLOCK_VALUES = 2 ** 16
-
-# (workers, executor) of _map_blocks: one thread per CPU the process may run
-# on, made on first use and dropped in a forked child, whose copy of the
-# pool has no threads
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _drop_pool():
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _block_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity mask on this platform
-                workers = os.cpu_count() or 1
-            _pool = (workers, ThreadPoolExecutor(workers, "maternbox") if workers > 1 else None)
-        return _pool
-
-
-def _map_blocks(fn, blocks):
-    """Yield fn(b) for each b of the sequence ``blocks``, in order.
-
-    The calls run on the module's thread pool, at most as many beyond the
-    one being consumed as the pool has workers, so memory stays bounded as
-    in a serial stream; with one worker or one block they run in the
-    caller.  ``fn`` must not submit to the pool (a pool thread would wait
-    on itself) and must not call a name in a layer module's ``__all__``
-    (bench/spans.py keeps one span stack, which is not thread-safe).
-    """
-    workers, pool = _block_pool()
-    if workers < 2 or len(blocks) < 2:
-        yield from map(fn, blocks)
-        return
-    todo = iter(blocks)
-    pending = deque(pool.submit(fn, b) for b in islice(todo, workers))
-    try:
-        while pending:
-            done = pending.popleft()
-            pending.extend(pool.submit(fn, b) for b in islice(todo, 1))
-            yield done.result()
-    finally:  # an abandoned or failed stream leaves no work queued
-        for future in pending:
-            future.cancel()
 
 
 @dataclass(frozen=True)
@@ -484,7 +429,7 @@ def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray)
     exactly; the others move by rounding only (README, numerical notes).
     A D/N/P block is a run of whole anchors q, a Robin block a run of roots;
     every value is formed elementwise, so no row depends on the blocking.
-    Robin blocks run on the thread pool of ``_map_blocks``.
+    Robin blocks run on the block pool (``_blocks._map_blocks``).
     """
     x = np.asarray(coords, dtype=float)
     n = max(x.size, 1)

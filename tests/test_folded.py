@@ -309,6 +309,47 @@ def test_gram_bitwise_equals_direct_reference():
             assert tail == cov_folded_gram(p, box, kind, pts, radius)[1]
 
 
+def test_cubic_gram_invariant_under_axis_swap():
+    # in a cubic box rows (a, b, ...) and (b, a, ...) share their images, so
+    # swapping axes 0 and 1 of the points leaves every Gram entry's bits; the
+    # swap permutes the reflection families, whose tails sum in another order
+    rng = np.random.default_rng(41)
+    for d, rho in ((2, 0.8), (3, 0.5)):
+        p = derive_params(1.0, rho, 1.0, d)
+        box = BoxDomain.cubic(0.1, 1.0, d)
+        pts = rng.uniform(0.0, 1.1, size=(6, d))
+        swapped = pts[:, [1, 0] + list(range(2, d))]
+        for kind in ("periodic", "neumann", "dirichlet"):
+            for drop in (False, True):
+                for radius in (None, 3):
+                    gram, tail = cov_folded_gram(p, box, kind, pts, radius, drop_identity=drop)
+                    got, got_tail = cov_folded_gram(p, box, kind, swapped, radius,
+                                                    drop_identity=drop)
+                    assert np.array_equal(got, gram), (d, kind, drop, radius)
+                    assert got_tail == pytest.approx(tail, rel=1e-15)
+
+
+def test_axis_swap_shares_rows_in_square_axes_only(monkeypatch):
+    # the bench's d = 3 grid: 125 distinct |u| rows, 75 once the first two
+    # components are sorted; axis 2, and a rectangular box, keep their rows
+    from maternbox.experiments import grid_points
+
+    rows = []
+    row_distances = folded._row_distances
+
+    def counted(rs, *args):
+        rows.append(len(rs))
+        return row_distances(rs, *args)
+
+    monkeypatch.setattr(folded, "_row_distances", counted)
+    p = derive_params(1.0, 1.0, 1.0, 3)
+    pts = grid_points(3, 0.1, 2)
+    for lengths, want in (((1.1, 1.1, 1.1), 75), ((1.1, 1.1, 1.2), 75), ((1.1, 1.2, 1.1), 125)):
+        rows.clear()
+        cov_folded_gram(p, BoxDomain(delta=0.1, ell=1.0, lengths=lengths, d=3), "neumann", pts, 2)
+        assert sum(rows) == want, (lengths, rows)
+
+
 def _reference_row_fsums(values, index):
     return np.array([math.fsum(values[row].tolist()) for row in index])
 
@@ -391,6 +432,56 @@ def test_pick_radius_equals_per_radius_tail_loop():
     with pytest.raises(ValueError, match=r"^no radius up to 128 certifies a tail below "
                                          r"1e-300; pass an explicit radius$"):
         pick_radius(p, box, "neumann", tol=1e-300)
+
+
+def _per_radius_tail(tails, radius):
+    # one radius at a time, as the search once evaluated each candidate
+    d = tails.params.d
+    first = np.maximum(radius, tails.dead) + 1.0
+    js = first[:, None] + np.arange(49.0)
+    j_close = radius + 1 + 48 * np.maximum(1.0, np.ceil((first - radius - 1) / 48))
+    closure = (3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1) / (1.0 - tails.f) ** d
+    weight = np.where(js < j_close[:, None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
+    weight = np.where(js == j_close[:, None], closure[:, None], weight)
+    cols = (first - tails.dead - 1.0).astype(int)[:, None] + np.arange(49)
+    vals = np.take_along_axis(tails.kernel, cols, axis=1)
+    ones = (2 * first - 1) ** d - (2 * radius + 1) ** d
+    return tails.params.sigma2 * float(np.sum(ones) + np.sum(weight * vals))
+
+
+def test_radius_search_reads_each_radius_tail_bitwise():
+    # the search evaluates runs of radii at once; each radius's tail is the
+    # one-radius-at-a-time evaluation bit for bit, and the tail
+    # image_tail_bound returns, with dead shells (separations of up to 97
+    # periods) on no family, some or all
+    for d in (1, 2, 3):
+        p = derive_params(1.0, 0.8, 1.5, d)
+        box = BoxDomain(delta=0.1, ell=1.0, lengths=(1.1, 1.3, 1.2)[:d], d=d)
+        for kind in ("periodic", "neumann", "dirichlet"):
+            families = 1 if kind == "periodic" else 2 ** d
+            period = min(box.lengths) * (1.0 if kind == "periodic" else 2.0)
+            for seps in ([0.3] + [97.0 * period] * (families - 1),
+                         list(np.linspace(0.0, 1.2, families)), [40.5 * period] * families):
+                tails = folded._family_tails(p, box, kind, seps)
+                radii = np.arange(1, 129)
+                tails._table(200)
+                block = tails._tails(radii)
+                for radius, tail in zip(radii.tolist(), block):
+                    assert tail == _per_radius_tail(tails, radius), (d, kind, seps, radius)
+                    if seps[0] == 0.3:  # a fresh table per radius: the slow path
+                        assert tail == image_tail_bound(p, box, radius, bc=kind,
+                                                        separation_inf=seps)
+                # the search picks the first radius whose tail meets the tolerance,
+                # else the first that meets the fallback
+                for tol in (block[0] * 2, block[5], block[40], block[100], block[127] / 2):
+                    want = next((r for r, t in zip(radii, block) if t <= tol), None)
+                    for fallback in (-math.inf, block[64]):
+                        if want is None and fallback < 0:
+                            with pytest.raises(ValueError, match=r"^no radius up to 128"):
+                                folded._family_tails(p, box, kind, seps).pick(tol, fallback)
+                            continue
+                        got = folded._family_tails(p, box, kind, seps).pick(tol, fallback)
+                        assert got == (want if want is not None else 65), (d, kind, tol)
 
 
 def test_pick_radius_fails_fast_on_unclosable_separation(monkeypatch):

@@ -11,10 +11,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from maternbox import spectral
+from maternbox import _blocks, specfun, spectral
+from maternbox.folded import cov_folded_gram
 from maternbox.sampler import sample_ensemble
 from maternbox.matern import derive_params, matern_cov, matern_gram
-from maternbox.specfun import ConvergenceError
+from maternbox.specfun import ConvergenceError, log_bessel_k
 from maternbox.spectral import (
     BoundarySpec,
     BoxDomain,
@@ -750,7 +751,7 @@ def block_pool(monkeypatch):
     def install(workers):
         pool = _CountingPool(workers)
         made.append(pool)
-        monkeypatch.setattr(spectral, "_pool", (workers, pool))
+        monkeypatch.setattr(_blocks, "_pool", (workers, pool))
         return pool
 
     yield install
@@ -778,11 +779,17 @@ def _joined(fn, timeout=120.0):
     return value
 
 
-# a Robin Gram over 5 mode blocks (15 points: 4369 roots a block) and a
-# periodic ensemble over 3 draw blocks (201 modes: 256 draws a block)
+# a Robin Gram over 5 mode blocks (15 points: 4369 roots a block), a
+# periodic ensemble over 3 draw blocks (201 modes: 256 draws a block), folded
+# Grams whose rows split into one run per worker (d = 2 Neumann, d = 3
+# Dirichlet), and a kernel batch of 3 point blocks
 _P1 = derive_params(1.0, 0.1, 0.5, 1)
 _BOX1 = BoxDomain.cubic(0.2, 1.0, 1)
 _PTS1 = np.linspace(0.1, 1.1, 15)[:, None]
+_P2, _P3 = derive_params(1.0, 1.0, 1.0, 2), derive_params(1.0, 0.5, 1.0, 3)
+_PTS2 = np.linspace(0.1, 1.1, 12).reshape(6, 2)
+_PTS3 = np.linspace(0.1, 1.1, 12).reshape(4, 3)
+_X = np.linspace(0.01, 60.0, 3 * specfun._POINT_BLOCK)
 
 
 def _pooled_work():
@@ -790,22 +797,28 @@ def _pooled_work():
                                    TruncationSpec(20000))
     ens = sample_ensemble(_P1, BoundarySpec.periodic(), _BOX1, _PTS1[::2], TruncationSpec(100),
                           77, 700)
-    return gram, tail, np.stack([s.values for s in ens])
+    return (gram, tail, np.stack([s.values for s in ens]),
+            cov_folded_gram(_P2, BoxDomain.cubic(0.1, 1.0, 2), "neumann", _PTS2),
+            cov_folded_gram(_P3, BoxDomain.cubic(0.1, 1.0, 3), "dirichlet", _PTS3),
+            log_bessel_k(1.5, _X))
 
 
 def _assert_same_work(a, b):
     assert np.array_equal(a[0], b[0]) and a[1] == b[1] and np.array_equal(a[2], b[2])
+    for (gram_a, tail_a), (gram_b, tail_b) in (a[3], b[3]), (a[4], b[4]):
+        assert np.array_equal(gram_a, gram_b) and tail_a == tail_b
+    assert np.array_equal(a[5], b[5])
 
 
 def test_map_blocks_keeps_order_and_bounds_work_in_flight(block_pool):
     pool = block_pool(3)
-    for i, value in enumerate(_joined(lambda: list(spectral._map_blocks(
+    for i, value in enumerate(_joined(lambda: list(_blocks._map_blocks(
             lambda b: (b * b, pool.submitted), range(20))))):
         # block i ran with at most 3 blocks submitted beyond it
         assert value[0] == i * i and value[1] <= i + 1 + 3
     assert pool.submitted == 20
     pool = block_pool(1)
-    assert _joined(lambda: list(spectral._map_blocks(lambda b: -b, range(5)))) == [0, -1, -2, -3, -4]
+    assert _joined(lambda: list(_blocks._map_blocks(lambda b: -b, range(5)))) == [0, -1, -2, -3, -4]
     assert pool.submitted == 0  # one worker: the caller runs every block
 
 
@@ -814,7 +827,9 @@ def test_one_and_three_worker_pools_agree_bitwise(block_pool):
     serial = _joined(_pooled_work)
     pool = block_pool(3)
     pooled = _joined(_pooled_work)
-    assert serial_pool.submitted == 0 and pool.submitted >= 5 + 3
+    # Robin blocks, draw blocks, 3 row runs and 3 row-sum runs per folded
+    # Gram, and kernel blocks
+    assert serial_pool.submitted == 0 and pool.submitted >= 5 + 3 + 2 * 6 + 3
     _assert_same_work(serial, pooled)
 
 
@@ -839,25 +854,40 @@ def test_concurrent_callers_get_the_serial_results(block_pool):
         _assert_same_work(serial, result)
 
 
-def _draw_in_child(conn):
-    conn.send(_pooled_work()[2])
+def _work_in_child(conn):
+    conn.send(_pooled_work())
     conn.close()
 
 
 def test_forked_child_draws_what_the_parent_drew(block_pool):
     block_pool(3)
-    parent = _joined(_pooled_work)[2]  # the pool's threads now exist
+    parent = _joined(_pooled_work)  # the pool's threads now exist
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_draw_in_child, args=(send,), daemon=True)
+    child = ctx.Process(target=_work_in_child, args=(send,), daemon=True)
     child.start()
     send.close()
     try:
-        assert recv.poll(120.0), "no draws from the child within the timeout: deadlock?"
-        drawn = recv.recv()
+        assert recv.poll(120.0), "no work from the child within the timeout: deadlock?"
+        done = recv.recv()
     finally:
         child.join(30.0)
         if child.is_alive():
             child.kill()
     assert not child.is_alive() and child.exitcode == 0
-    assert np.array_equal(drawn, parent)
+    _assert_same_work(done, parent)
+
+
+def test_block_that_maps_blocks_runs_them_itself(block_pool):
+    # a block on the pool that maps blocks would wait on its own pool: it
+    # runs them in its own thread, in order, and gets the serial result
+    pool = block_pool(2)
+
+    def outer(b):
+        here = threading.get_ident()
+        return [(b, k, ident == here) for k, ident in _blocks._map_blocks(
+            lambda k: (k * k, threading.get_ident()), range(4))]
+
+    got = _joined(lambda: list(_blocks._map_blocks(outer, range(5))), timeout=30.0)
+    assert got == [[(b, k * k, True) for k in range(4)] for b in range(5)]
+    assert pool.submitted == 5
