@@ -2,18 +2,19 @@
 
 Two independent evaluation routes for ``K_nu(x)`` live here on purpose:
 
-* a fast production path: a small-argument series for ``x <= 2`` plus a
-  continued fraction for ``x > 2``, followed by stable upward recurrence in
-  the order.  In the continued fraction each point stops at its own
-  convergence step, so a batch costs the sum of its points' steps rather
-  than its slowest point's steps times its size, and each point's value is
-  exactly its single-point evaluation; every other step is elementwise.
-  The series stops when its whole batch has converged, past each point's
-  own step by terms below 1e-17 of its sum; tests pin that batched and
-  single evaluations are bitwise equal across both branches.  A large
-  batch is split into fixed blocks of ``_POINT_BLOCK`` points that run on
-  the block pool (``_blocks``), which that equality makes invisible in the
-  result;
+* a fast production path: at order mu = nu - floor(nu + 1/2), |mu| <= 1/2, a
+  small-argument series for ``x <= 2``, the trapezoid rule for
+  ``2 < x < 20`` and the Hankel expansion for ``x >= 20`` (all ``x > 2`` at
+  |mu| = 1/2, where it is exact) give K_mu and K_{mu+1}, and upward
+  recurrence in the order gives K_nu.  The last two branches have a fixed
+  cost per point and a truncation error certified below 2^-53 relative
+  (derived in their docstrings, checked by a test from this module's
+  constants).  The series stops when its whole batch has converged, past
+  each point's own step by terms below 1e-17 of its sum; every other step
+  is elementwise, and tests pin that batched and single evaluations are
+  bitwise equal across all three branches.  A large batch is split into
+  fixed blocks of ``_POINT_BLOCK`` points that run on the block pool
+  (``_blocks``), which that equality makes invisible in the result;
 * a slow quadrature route built on the integral representation
 
       K_nu(x) = (1/2) (x/2)^(-nu) * int_0^inf t^(nu-1) exp(-t - x^2/(4t)) dt,
@@ -56,15 +57,17 @@ _ZETA_EVEN = (1.64493406684822643647, 1.08232323371113819152,
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
 _SERIES_MAX = 600
-_CF_MAX = 30000
+_HANKEL_FROM, _HANKEL_TERMS = 20.0, 22
+_TRAP_STEP, _TRAP_NODES = 0.16, 26
 _QUAD_REL_TOL = 1e-12
-# points per block of a pooled batch: fixed, since a block's cost follows its
-# arguments (small x takes more continued-fraction steps), not its position
+# points per block of a pooled batch, fixed so the blocks do not follow the
+# thread count; 2^13 and 2^16 ran slower on the folded Gram's 50k distances
 _POINT_BLOCK = 2 ** 14
 
 
 class ConvergenceError(RuntimeError):
-    """An internal series, continued fraction or quadrature did not converge."""
+    """The series for x <= 2 or the oracle's quadrature did not converge, or
+    a K value is not finite."""
 
 
 def ln_gamma(x: float) -> float:
@@ -148,82 +151,77 @@ def _kmu_series(mu: float, x: np.ndarray):
         f"(mu={mu}, x in [{x.min()}, {x.max()}])")
 
 
-def _kmu_cf2(mu: float, x: np.ndarray):
-    """exp(x) K_mu(x) and exp(x) K_{mu+1}(x) for x > 2 and |mu| <= 1/2.
+def _kmu_hankel(mu: float, x: np.ndarray):
+    """exp(x) K_mu(x) and exp(x) K_{mu+1}(x) for x >= 20 (x > 2 at |mu| = 1/2)
+    and |mu| <= 1/2.
 
-    Each point stops at its own convergence step and keeps the values of
-    that step, so a batch returns exactly what each point returns alone.
-    Stopped points leave the working arrays once they are half of them, so
-    a batch no longer runs every point as long as its slowest one.
+    Hankel's expansion exp(x) K_nu(x) ~ sqrt(pi/(2x)) sum_{k<l} a_k(nu) x^(-k),
+    a_k(nu) = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! 8^k), l = ``_HANKEL_TERMS``,
+    by Horner's rule at both orders on one (2, points) array.  As |nu| <= 3/2
+    <= l + 1/2, the remainder is at most the first neglected term (DLMF
+    10.40(ii)); max |a_22| = 4.0e12 on |nu| <= 3/2, so at x >= 20 it is at
+    most 9.6e-17 of the sum, which is >= 1 - 1/(8x) (l = 1 at nu = 0).  At
+    |nu| = 1/2 and 3/2 the series ends early: a_k = 0 for k > |nu|.
     """
-    mu2 = mu * mu
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d.copy()
-    q1 = np.zeros_like(x)
-    q2 = np.ones_like(x)
-    a1 = 0.25 - mu2
-    q = np.full_like(x, a1)
-    c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    h_out = np.empty_like(x)
-    s_out = np.empty_like(x)
-    where = np.arange(x.size)  # position in x of each working entry
-    live = np.ones(x.size, dtype=bool)
-    for i in range(2, _CF_MAX + 1):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        dels = q * delh
-        s = s + dels
-        stop = live & (np.abs(dels) <= np.abs(s) * 1e-16)
-        if not stop.any():
-            continue
-        h_out[where[stop]] = h[stop]
-        s_out[where[stop]] = s[stop]
-        live &= ~stop
-        n_live = np.count_nonzero(live)
-        if n_live == 0:
-            break
-        if 2 * n_live <= live.size:
-            b, d, h, delh, q1, q2, q, s, where = (
-                v[live] for v in (b, d, h, delh, q1, q2, q, s, where))
-            live = np.ones(n_live, dtype=bool)
-    else:
-        stalled = x[where[live]]
-        raise ConvergenceError(
-            f"continued fraction for K_mu stalled after {_CF_MAX} steps "
-            f"(mu={mu}, x in [{stalled.min()}, {stalled.max()}])")
-    h = a1 * h_out
-    kmu = math.sqrt(math.pi / 2.0) / np.sqrt(x) / s_out
-    kmu1 = kmu * (mu + x + 0.5 - h) / x
-    return kmu, kmu1
+    orders = (mu, mu + 1.0)
+    coef = [(1.0, 1.0)]
+    for k in range(1, _HANKEL_TERMS):
+        coef.append(tuple(a * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8 * k)
+                          for a, nu in zip(coef[-1], orders)))
+    while coef[-1] == (0.0, 0.0):  # |mu| = 1/2: the terms past |nu| are 0
+        coef.pop()
+    coef = np.array(coef)[:, :, None]
+    y = 1.0 / x
+    acc = np.repeat(coef[-1], x.size, axis=1)
+    for a in coef[-2::-1]:
+        acc *= y
+        acc += a
+    acc *= np.sqrt(0.5 * math.pi / x)
+    return acc[0], acc[1]
+
+
+def _kmu_trapezoid(mu: float, x: np.ndarray):
+    """exp(x) K_mu(x) and exp(x) K_{mu+1}(x) for 2 < x < 20 and |mu| <= 1/2.
+
+    exp(x) K_nu(x) = int_0^inf f(t) dt, f(t) = exp(-x (cosh t - 1)) cosh(nu t)
+    (DLMF 10.32.9), by the trapezoid rule h (f(0)/2 + f(h) + ... + f(T)) with
+    h = ``_TRAP_STEP``, T = (``_TRAP_NODES`` - 1) h = 4, adding one node at a
+    time from the far end, at both orders on one (2, points) array.
+    Relative error for |nu| <= 3/2: f is even and entire, and on the strip
+    |Im t| < a < pi/2, c = cos a, int |f| dt <= M = 2 exp(x) K_nu(cx), so the
+    rule errs by at most 2M / (exp(2 pi a / h) - 1) (Trefethen & Weideman,
+    SIAM Rev. 56(3), 2014, Thm. 5.1).  By K_nu(cx) <= K_{3/2}(cx) and
+    K_nu(x) >= K_0(x) >= sqrt(pi/(2x)) exp(-x) (1 - 1/(8x)) that is at most
+        2 (1 + 1/(cx)) exp(x (1 - c)) / (sqrt(c) (1 - 1/(8x)) (exp(2 pi a/h) - 1)).
+    f decreases past T, so the dropped nodes sum to at most int_T^inf f dt
+    <= exp(|nu| T - x (cosh T - 1)) / (x sinh T - |nu|), as cosh t - 1 lies
+    above its tangent at T.  Over the same bound on exp(x) K_0(x), with c
+    chosen per x, the total is at most 3.8e-17 on (2, 20], below 2^-53.
+    """
+    t = _TRAP_STEP * np.arange(_TRAP_NODES)
+    decay = 2.0 * np.sinh(0.5 * t) ** 2  # cosh t - 1 without cancellation
+    weight = np.cosh(np.array([[mu], [mu + 1.0]]) * t)
+    acc = np.zeros((2, x.size))
+    for j in range(_TRAP_NODES - 1, 0, -1):
+        acc += weight[:, j:j + 1] * np.exp(-decay[j] * x)
+    acc = _TRAP_STEP * (acc + 0.5)
+    return acc[0], acc[1]
 
 
 def _log_k_block(n: int, mu: float, xa: np.ndarray) -> np.ndarray:
-    """log K_{n + mu}(x) for a block of arguments x > 0: series or continued
-    fraction at order mu, then upward recurrence to n + mu."""
+    """log K_{n + mu}(x) for a block of arguments x > 0: series, trapezoid
+    rule or Hankel expansion at order mu, then upward recurrence to n + mu."""
     out = np.empty_like(xa)
+    # at |mu| = 1/2 the Hankel expansion is exact (one term), so it serves all x > 2
     small = xa <= 2.0
-    for mask in (small, ~small):
+    large = ~small & (xa >= (2.0 if abs(mu) == 0.5 else _HANKEL_FROM))
+    for branch, mask in ((_kmu_series, small), (_kmu_trapezoid, ~(small | large)),
+                         (_kmu_hankel, large)):
         if not np.any(mask):
             continue
         xs = xa[mask]
-        if xs[0] <= 2.0:
-            klo, khi = _kmu_series(mu, xs)
-            logscale = np.zeros_like(xs)
-        else:
-            klo, khi = _kmu_cf2(mu, xs)
-            logscale = -xs.copy()
+        klo, khi = branch(mu, xs)
+        logscale = np.zeros_like(xs) if branch is _kmu_series else -xs
         xi2 = 2.0 / xs
         for i in range(1, n + 1):
             knext = klo + (mu + i) * xi2 * khi

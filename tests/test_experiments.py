@@ -232,15 +232,15 @@ n_samples = 0
 GOLDEN = (
     ("sigma2=1\nrho=0.1\nnu=1\nd=1\nbc=R,D,N,P\ndelta_list=0,0.05,0.2\nn_grid=7\n"
      "trunc_h=1e-3\nseed=3\nn_samples=200\n",
-     {"cov-slice": "fc0d3ecb7ba559a702fe81795589eaffc6981cad10853a662dd15100ef9b9a70",
-      "error-curve": "31ef5bd04e4fc69ca985c06b0882fde903353b9450eba1ec888be9eb01e24df2",
-      "bounds": "0214ec0ae77397b938191f3d10d9bde23a788c227a74ada049592bf5ca2e1078",
+     {"cov-slice": "8b6a826bb9e1f96363e1e4bed99c29e4a31acf4299f830ecc53e4c797c59e19a",
+      "error-curve": "6859093e628e4eb3371067378fd7cd0ceed1e1212a04db2814103147cb77a920",
+      "bounds": "956f33adcf9565745acb5a5b50af746b7b5c196affb9284f3a4ae7028949a53b",
       "sample": "12aaaab5e5f0e30efb0453b512cf5cf58594af578d59faa3f0ed31c8e1533106"}),
     ("sigma2=1\nrho=0.1\nnu=1\nd=2\nbc=D,N,P,R\ndelta_list=0.05,0.2\nn_grid=3\n"
      "trunc_h=2e-2\nseed=5\nn_samples=200\n",
-     {"cov-slice": "cfc0ad748f4d1024bbce0e81eff32fc0240d02d2717bab4979c8736767864810",
-      "error-curve": "9f0d471aa1ca2002ee8daa16492f4e0a1c0ffcdd0b9c2f24b6279a807657bb55",
-      "bounds": "bbc53c76a94928a14ee61f686971fd63d92845754f2a34d8f1d326ed5e5673ec",
+     {"cov-slice": "fdb52435fc43fbe86642494dd2552560bfc71bf021aac0bc57c6ee768f7e6dcc",
+      "error-curve": "6ece4a5bff9d576de032c200f4c991f9b3eafd01705a1e4eeb8a5b33d70fbb15",
+      "bounds": "e1378dde18f4ab34bd72ed1c37857dda2bf798ec4798bfea9cf3eff8386ce4ab",
       "sample": "3096b794824a73a39fe96806891947da883180895ac63e98421cc074b94501b1"}),
 )
 
