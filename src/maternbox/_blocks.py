@@ -1,8 +1,9 @@
 """The block pool: a function mapped over blocks on one thread per CPU, in order.
 
 Every pooled computation in the package goes through ``_map_blocks``: the
-sampler's draw blocks, the Robin mode-table blocks, the folded Gram's row
-runs and the kernel's point blocks.  Each block is computed exactly as it
+sampler's draw blocks, the mode-table blocks (in d = 1 each with its
+partial modal Gram), the d >= 2 modal weight row blocks, the Robin root
+blocks, the folded Gram's row runs and the kernel's point blocks.  Each block is computed exactly as it
 would be in the caller, so a result does not depend on the worker count.
 This module imports nothing from the package, so every layer may use it.
 """

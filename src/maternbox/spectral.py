@@ -10,23 +10,24 @@ exposes the per-mode system of the plain sum used by the sampler.
 
 One per-axis mode-table builder (``_axis_mode_blocks``) serves every
 route.  Its D/N/P rows take trig at O(n sqrt(kmax)) anchor and offset
-angles only and combine them by angle addition.  It yields the table in
+angles only and combine them by angle addition.  It gives the table as
 consecutive row blocks of about ``_BLOCK_VALUES`` = 2^16 values: a D/N/P
 block is a run of whole anchors, a Robin block a run of roots, and every
 value is formed elementwise, so each row has the same bits however the
-table is blocked.  Robin blocks are evaluated on the package's block pool,
+table is blocked.  The blocks are evaluated on the package's block pool,
 one thread per CPU in the process's affinity mask, and consumed in order
 (``_blocks._map_blocks``, which the sampler's draw blocks, the folded Gram's
 row runs and the kernel's point blocks use too), so each block has the bits
-it has on one thread.  The d = 1 modal sum adds
-V_b^T (w_b V_b) block by block, so it holds O(block + points^2) values
-whatever kmax is; ``mode_system``, ``eigenpair`` and the d >= 2 sums read
-the blocks stacked (``_axis_mu_values``).  In d >= 2 each axis forms its
-pair-product columns w(x) w(y) once per distinct unordered coordinate pair
-and sums the modes that share an eigenvalue (periodic cos_k and sin_k)
-into one row; the modal sum contracts the first two axes as a matrix
-product over those distinct columns, one row and column per eigenvalue,
-formed in blocks of rows, then dots the distinct (axis 1, axis 2) column
+it has on one thread.  In the d = 1 modal sum each block forms its partial
+Gram V_b^T (w_b V_b) on the pool and the partials are added in block
+order, so it holds O(threads * block + points^2) values whatever kmax is;
+``mode_system``, ``eigenpair`` and the d >= 2 sums read the blocks stacked
+(``_axis_mu_values``).  In d >= 2 each axis forms its pair-product columns
+w(x) w(y) once per distinct unordered coordinate pair and sums the modes
+that share an eigenvalue (periodic cos_k and sin_k) into one row; the
+modal sum contracts the first two axes as a matrix product over those
+distinct columns, one row and column per eigenvalue, formed in blocks of
+rows on the pool, then dots the distinct (axis 1, axis 2) column
 combinations the Gram pairs read, a chunk of about ``_BLOCK_VALUES``
 values at a time, and sums the remaining axes eigenvalue by eigenvalue
 (``_axis_pair_columns``).  Its memory grows like kmax times the distinct
@@ -35,17 +36,18 @@ columns, not kmax times the pairs.
 Periodic complex exponentials are realized as real cosine/sine pairs with
 matching normalization, so all arithmetic stays real.
 
-Robin roots n >= 12 come from vectorized Newton steps; each is read off as
-the adjacent-float bracket that bisection to its fixed point ends at, so the
-roots are bit for bit the bisection's (see ``robin_eigen_1d``).  Where a
-bracket shows no computed sign change (tiny or huge beta L), Newton's root
-stands in if it passes a residual check.  Points (``matern.as_points``)
-must lie in the closed box.
+Robin roots n >= 12 come from vectorized Newton steps, in blocks of roots
+on the pool; each is read off as the adjacent-float bracket that bisection
+to its fixed point ends at, so the roots are bit for bit the bisection's
+(see ``robin_eigen_1d``).  Where a bracket shows no computed sign change
+(tiny or huge beta L), Newton's root stands in if it passes a residual
+check.  Points (``matern.as_points``) must lie in the closed box.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -223,6 +225,8 @@ class RobinEigen1D:
 
 # roots n > _NEWTON_FROM are found by Newton's method: their brackets lie above 32
 _NEWTON_FROM = 11
+# Newton roots per block of robin_eigen_1d on the block pool
+_ROOT_BLOCK = 2 ** 14
 
 
 def _robin_bisect(lo, hi, flo, fhi, c: float):
@@ -331,7 +335,10 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     run through the bisection loop on that subset alone.  From count 7 on
     the loop's relative-width stop never fires (every final width is at
     least ulp(6 pi) = 3.6e-15 > 1e-15 pi), so each root still reaches its
-    own fixed point, and root 1 at tiny c its 90-step cap.
+    own fixed point, and root 1 at tiny c its 90-step cap.  The bracket
+    ends, Newton steps and adjacent floats of roots n >= 12 run on the block
+    pool (``_blocks._map_blocks``) in blocks of ``_ROOT_BLOCK`` roots; every
+    step is elementwise, so each root has the bits it has on one thread.
 
     At tiny c a root can lie within rounding of fl((n-1) pi), and at huge c
     (beta ell >~ 1e17) within rounding of fl(n pi), where the computed
@@ -348,21 +355,51 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     h, ell_axis = float(h), float(ell_axis)
     if not (h > 0 and ell_axis > 0):
         raise ValueError("robin_eigen_1d needs h > 0 and ell_axis > 0")
+    if not isinstance(count, numbers.Integral):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    c = h * ell_axis
-    # bracket n runs from ends[n] to ends[n + 1]: lo[n] = hi[n - 1] = fl(n pi)
-    ends = np.arange(count + 1, dtype=float)
+    count, c = int(count), h * ell_axis
+    # bracket n runs from lo[n] = fl(n pi) (lo[0] just above 0) to hi[n] = fl((n + 1) pi)
+    # until narrowed in place below
+    lo, hi, flo, fhi = (np.empty(count) for _ in range(4))
+
+    def brackets(first, ends):
+        """Brackets first.. from their ends; False where a residual is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            f_ends = _robin_residual(ends, c)
+        part = slice(first, first + ends.size - 1)
+        lo[part], hi[part], flo[part], fhi[part] = ends[:-1], ends[1:], f_ends[:-1], f_ends[1:]
+        return np.all(np.isfinite(f_ends))
+
+    def newton_block(first):
+        """Roots first.. of one block by Newton, their brackets narrowed.
+
+        Returns (any bracket without a sign change, the roots whose
+        adjacent-float pair failed, their Newton roots), or None where a
+        residual at the bracket ends is not finite.
+        """
+        part = slice(first, min(first + _ROOT_BLOCK, count))
+        ends = np.arange(part.start, part.stop + 1, dtype=float)
+        ends *= math.pi
+        if not brackets(first, ends):
+            return None
+        bad = np.any(np.sign(flo[part]) == np.sign(fhi[part]))
+        roots = _robin_newton(lo[part], c, np.arange(part.start, part.stop) % 2 == 1)
+        done = _robin_adjacent_brackets(roots, lo[part], hi[part], flo[part], fhi[part], c)
+        return bad, first + np.flatnonzero(~done), roots[~done]
+
+    head = min(count, _NEWTON_FROM)
+    ends = np.arange(head + 1, dtype=float)
     ends *= math.pi
     ends[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        f_ends = _robin_residual(ends, c)
-    # copies: the brackets are narrowed in place below
-    lo, hi, flo, fhi = ends[:-1].copy(), ends[1:], f_ends[:-1].copy(), f_ends[1:]
-    if not (np.all(np.isfinite(flo)) and np.all(np.isfinite(fhi))):
+    finite = brackets(0, ends)
+    # roots n >= 12 in blocks on the pool; each writes its own brackets
+    top = list(_map_blocks(newton_block, range(_NEWTON_FROM, count, _ROOT_BLOCK)))
+    if not finite or any(block is None for block in top):
         # (h ell)^2 overflows: NaN signs would slip past the bracket check
         raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
-    bad = np.sign(flo) == np.sign(fhi)
+    bad = np.any(np.sign(flo[:head]) == np.sign(fhi[:head]))
 
     def no_sign_change(i):
         return ConvergenceError(f"no sign change in Robin bracket (({i} pi, {i + 1} pi)) "
@@ -371,20 +408,16 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     # Newton roots kept as they are.  Where a bracket n < 12 shows no sign
     # change, its neighbours' sign changes can be a neighbouring root's, so
     # every root n < 12 is Newton's
-    kept = np.arange(min(count, _NEWTON_FROM) if np.any(bad[:_NEWTON_FROM]) else 0)
+    kept = np.arange(head if bad else 0)
     kept_roots = _robin_newton(kept * math.pi, c, kept % 2 == 1)
-    slow = np.arange(kept.size, min(count, _NEWTON_FROM))
-    if count > _NEWTON_FROM:
-        top = slice(_NEWTON_FROM, None)
-        roots = _robin_newton(lo[top], c, np.arange(_NEWTON_FROM, count) % 2 == 1)
-        done = _robin_adjacent_brackets(roots, lo[top], hi[top], flo[top], fhi[top], c)
-        miss = _NEWTON_FROM + np.flatnonzero(~done)
-        if np.any(bad):
+    slow = np.arange(kept.size, head)
+    if top:
+        miss = np.concatenate([block[1] for block in top])
+        if bad or any(block[0] for block in top):
             kept = np.concatenate([kept, miss])
-            kept_roots = np.concatenate([kept_roots, roots[miss - _NEWTON_FROM]])
+            kept_roots = np.concatenate([kept_roots] + [block[2] for block in top])
         else:
             slow = np.concatenate([slow, miss])
-        del roots, done  # the secant step below peaks without them
     resid = np.abs(_robin_residual(kept_roots, c))
     fail = ~(resid <= np.maximum(1e-12, 2.0 * np.spacing(kept_roots)))
     if np.any(fail):
@@ -411,12 +444,14 @@ def _robin_cached(h: float, ell_axis: float, count: int) -> RobinEigen1D:
 def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
     """Per-axis squared frequencies and orthonormal mode values at coords.
 
-    Yields the table as consecutive row blocks (mu, V), V of shape
-    (modes, coordinates), each holding about ``_BLOCK_VALUES`` values (at
-    least one anchor or one root).  Mode order along one axis: Dirichlet
-    k = 1..kmax; Neumann k = 0..kmax; periodic [const, cos_1, sin_1, ...,
-    cos_kmax, sin_kmax]; Robin n = 1..kmax+1.  A D/N/P block is a
-    transposed view: the modes of one coordinate are contiguous.
+    Returns (block, starts): ``block(s)`` gives the row block (mu, V) of the
+    table that starts at s, V of shape (modes, coordinates), and the blocks
+    of ``starts``, in order, make up the table.  Each holds about
+    ``_BLOCK_VALUES`` values (at least one anchor or one root).  Mode order
+    along one axis: Dirichlet k = 1..kmax; Neumann k = 0..kmax; periodic
+    [const, cos_1, sin_1, ..., cos_kmax, sin_kmax]; Robin n = 1..kmax+1.  A
+    D/N/P block is a transposed view: the modes of one coordinate are
+    contiguous.
 
     D/N/P values are amp * trig(k t), t = freq x / L, by angle addition.
     With k = q B + r, B = isqrt(kmax) + 1, cos and sin are taken at the
@@ -429,7 +464,8 @@ def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray)
     exactly; the others move by rounding only (README, numerical notes).
     A D/N/P block is a run of whole anchors q, a Robin block a run of roots;
     every value is formed elementwise, so no row depends on the blocking.
-    Robin blocks run on the block pool (``_blocks._map_blocks``).
+    Callers map ``block`` over ``starts`` on the block pool
+    (``_blocks._map_blocks``).
     """
     x = np.asarray(coords, dtype=float)
     n = max(x.size, 1)
@@ -444,36 +480,37 @@ def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray)
             vals /= np.sqrt(part.norms)[:, None]
             return part.omegas ** 2, vals
 
-        yield from _map_blocks(robin_block, range(0, kmax + 1, rows))
-        return
+        return robin_block, range(0, kmax + 1, rows)
     freq = 2.0 * math.pi if bc.kind == "periodic" else np.pi
     step = math.isqrt(kmax) + 1
-    trig = []
-    # [:, q, r] holds k = q step + r, so the combination runs along the long
-    # offset axis r
-    for m, axis in ((np.arange(0, kmax + 1, step, dtype=float), 2),
-                    (np.arange(step, dtype=float), 1)):
+
+    def cos_sin(m, axis):
         ang = np.multiply.outer(x, m)
         ang *= freq
         ang /= L
-        trig += [np.expand_dims(np.cos(ang), axis), np.expand_dims(np.sin(ang), axis)]
-    cb, sb, ca, sa = trig
+        return np.expand_dims(np.cos(ang), axis), np.expand_dims(np.sin(ang), axis)
+
+    # [:, q, r] holds k = q step + r, so the combination runs along the long
+    # offset axis r; each block takes its own anchors
+    ca, sa = cos_sin(np.arange(step, dtype=float), 1)
+    multiples = np.arange(0, kmax + 1, step, dtype=float)
     # periodic: cos_k and sin_k at offsets 2k and 2k + 1 of a coordinate's row
     pair = 2 if bc.kind == "periodic" else 1
     anchors = max(1, _BLOCK_VALUES // (n * step * pair))
-    for q in range(0, cb.shape[1], anchors):
-        qs = slice(q, q + anchors)
-        width = cb[:, qs].shape[1]
+
+    def anchor_block(q):
+        cb, sb = cos_sin(multiples[q:q + anchors], 2)
+        width = cb.shape[1]
         flat = np.empty((x.size, width * step * pair))
         grid = flat.reshape(x.size, width, step, pair)
         cos_k, sin_k = grid[..., 0], grid[..., pair - 1]
         t = np.empty(cos_k.shape)
         if bc.kind != "dirichlet":
-            np.multiply(cb[:, qs], ca, out=cos_k)
-            cos_k -= np.multiply(sb[:, qs], sa, out=t)
+            np.multiply(cb, ca, out=cos_k)
+            cos_k -= np.multiply(sb, sa, out=t)
         if bc.kind != "neumann":
-            np.multiply(sb[:, qs], ca, out=sin_k)
-            sin_k += np.multiply(cb[:, qs], sa, out=t)
+            np.multiply(sb, ca, out=sin_k)
+            sin_k += np.multiply(cb, sa, out=t)
         k = np.arange(q * step, min((q + width) * step, kmax + 1), dtype=float)
         # block 0 drops sin 0 (Dirichlet) or cos 0 (periodic: the constant takes sin 0's row)
         cut = 0 if q or bc.kind == "neumann" else 1
@@ -481,12 +518,14 @@ def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray)
         vals *= math.sqrt(2.0 / L)
         if q == 0 and bc.kind != "dirichlet":
             vals[0] = math.sqrt(1.0 / L)  # the constant mode (periodic: in place of sin 0)
-        yield np.repeat((freq * k / L) ** 2, pair)[cut:], vals
+        return np.repeat((freq * k / L) ** 2, pair)[cut:], vals
+
+    return anchor_block, range(0, multiples.size, anchors)
 
 
 def _axis_mu_values(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
     """The whole per-axis table (mu, V) of ``_axis_mode_blocks``, its blocks stacked."""
-    mus, vals = zip(*_axis_mode_blocks(bc, L, kmax, coords))
+    mus, vals = zip(*_map_blocks(*_axis_mode_blocks(bc, L, kmax, coords)))
     return np.concatenate(mus), np.concatenate(vals)
 
 
@@ -605,23 +644,38 @@ def _plain_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
                 pts: np.ndarray, kmax: int) -> np.ndarray:
     """The truncated modal sum itself, contracted axis by axis.
 
-    In d = 1 the mode table streams through in row blocks, each adding
-    V_b^T (w_b V_b), so it never exists whole; one triangle is mirrored.
-    In d >= 2 the weights of the first two axes are formed in row blocks,
-    each multiplied into its rows of W @ G2; each distinct pair of axis 1
-    and axis 2 columns is dotted once and scattered to the Gram pairs.
+    In d = 1 each block of the mode table forms its partial Gram
+    V_b^T (w_b V_b) on the block pool and the partials are added in block
+    order, so the table never exists whole; one triangle is mirrored.
+    In d >= 2 the weights of the first two axes are formed in row blocks on
+    the pool, each multiplied into its rows of W @ G2; each distinct pair of
+    axis 1 and axis 2 columns is dotted once and scattered to the Gram pairs.
     """
     n = pts.shape[0]
     kappa2 = params.kappa ** 2
     alpha = params.alpha
     if box.d == 1:
-        gram = np.zeros((n, n))
-        for mu, V in _axis_mode_blocks(bc, box.lengths[0], kmax, pts[:, 0]):
-            w = params.eta2 * (1.0 + mu / kappa2) ** (-alpha)
-            # one coordinate's modes contiguous (Robin blocks are copied): on
-            # OpenBLAS this layout rounds about 4 times less at kmax 1e5
+        block, starts = _axis_mode_blocks(bc, box.lengths[0], kmax, pts[:, 0])
+
+        def partial_gram(start):
+            w, V = block(start)
+            # eta2 (1 + mu / kappa2)^(-alpha) in place of mu
+            w /= kappa2
+            w += 1.0
+            w **= -alpha
+            w *= params.eta2
+            # one coordinate's modes contiguous (a block in another layout is
+            # copied and freed): on OpenBLAS this layout rounds about 4 times
+            # less at kmax 1e5
             Vt = np.ascontiguousarray(V.T)
-            gram += Vt @ (w * Vt).T
+            del V
+            # np.matmul's bits; two threads' np.matmul calls of these shapes
+            # ran one after the other (numpy 2.4), np.dot's at once
+            return np.dot(Vt, (w * Vt).T)
+
+        gram = np.zeros((n, n))
+        for part in _map_blocks(partial_gram, starts):
+            gram += part
         iu = np.triu_indices(n, 1)
         gram.T[iu] = gram[iu]
         return gram
@@ -641,7 +695,8 @@ def _plain_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     # columns, axes 3.. summed eigenvalue by eigenvalue
     for idx in product(*(range(mu.size) for mu, _, _ in axes[2:])):
         shift = sum(mu[c] for (mu, _, _), c in zip(axes[2:], idx))
-        for i in range(0, mu1.size, rows):
+
+        def weight_rows(i, shift=shift):
             # eta2 (1 + mu / kappa2)^(-alpha) in place, a block of rows at a time
             W = mu1[i:i + rows, None] + mu2[None, :] + shift
             W /= kappa2
@@ -649,6 +704,9 @@ def _plain_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
             W **= -alpha
             W *= params.eta2
             np.matmul(W, G2, out=WG[i:i + rows])
+
+        for _ in _map_blocks(weight_rows, range(0, mu1.size, rows)):
+            pass  # each block writes its own rows of WG
         # gathered columns are Fortran-ordered, so each dot runs down its own
         # column and has the same bits in any chunk
         for j in range(0, combo.size, cols):

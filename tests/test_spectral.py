@@ -355,6 +355,10 @@ def test_robin_count_validation():
         robin_eigen_1d(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         robin_eigen_1d(-1.0, 1.0, 5)
+    # a count that is not an integer: an error, not 13 roots for 12.5
+    for count in (2.5, 3.0, 12.5):
+        with pytest.raises(ValueError, match="integer"):
+            robin_eigen_1d(2.0, 1.0, count)
     # (h ell)^2 overflows: an error, not roots with NaN residuals, nor a warning
     for h in (1e200, 1e300):
         with pytest.raises(ConvergenceError), warnings.catch_warnings():
@@ -647,23 +651,31 @@ def test_modal_gram_matches_mode_by_mode_sum(d, kind):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), box.lengths
 
 
-def test_d1_modal_gram_memory_independent_of_kmax():
-    # the d = 1 table streams through blocks of about 2^16 values: at
-    # kmax 1e5 on 15 points the whole periodic table would be 24 MB
+def test_d1_modal_gram_memory_independent_of_kmax(block_pool):
+    # the d = 1 table streams through blocks of about 2^16 values, each
+    # block with its partial Gram on the pool: at kmax 1e5 on 15 points the
+    # whole periodic table would be 24 MB.  Each Gram is made once before
+    # the count, so the pool's threads exist and the Robin roots (16 bytes
+    # a root) are cached: the count sees the blocks alone
     import tracemalloc
 
     p = derive_params(1.0, 0.1, 0.5, 1)
     box = BoxDomain.cubic(0.2, 1.0, 1)
     pts = np.linspace(0.1, 1.1, 15)[:, None]
     trunc = TruncationSpec(100000)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        plain_spectral_gram(p, BoundarySpec.periodic(), box, pts, trunc)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20, peak
+    for workers in (1, 4):
+        block_pool(workers)
+        for bc, bound in ((BoundarySpec.periodic(), 4 * 2 ** 20),
+                          (BoundarySpec.robin(3.0), 5 * 2 ** 20)):
+            plain_spectral_gram(p, bc, box, pts, trunc)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                plain_spectral_gram(p, bc, box, pts, trunc)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (workers, bc.kind, peak)
 
 
 def _pair_gather_reference(p, bc, box, pts, kmax):
@@ -779,10 +791,14 @@ def _joined(fn, timeout=120.0):
     return value
 
 
-# a Robin Gram over 5 mode blocks (15 points: 4369 roots a block), a
-# periodic ensemble over 3 draw blocks (201 modes: 256 draws a block), folded
-# Grams whose rows split into one run per worker (d = 2 Neumann, d = 3
-# Dirichlet), and a kernel batch of 3 point blocks
+# d = 1 Grams at kmax 20000 on 15 points: Robin over 5 mode blocks (4369
+# roots a block), Neumann over 5 (30 anchors of 142 modes), periodic over 10
+# (15 anchors); d = 2 periodic and Robin Grams at kmax 500 over 4 weight row
+# blocks (130 rows); Robin roots over 3 and 4 root blocks, one below, at and
+# one above a block edge, and with Newton's stand-ins at tiny and huge
+# beta L; a periodic ensemble over 3 draw blocks (201 modes: 256 draws a
+# block); folded Grams whose rows split into one run per worker (d = 2
+# Neumann, d = 3 Dirichlet); and a kernel batch of 3 point blocks
 _P1 = derive_params(1.0, 0.1, 0.5, 1)
 _BOX1 = BoxDomain.cubic(0.2, 1.0, 1)
 _PTS1 = np.linspace(0.1, 1.1, 15)[:, None]
@@ -790,24 +806,36 @@ _P2, _P3 = derive_params(1.0, 1.0, 1.0, 2), derive_params(1.0, 0.5, 1.0, 3)
 _PTS2 = np.linspace(0.1, 1.1, 12).reshape(6, 2)
 _PTS3 = np.linspace(0.1, 1.1, 12).reshape(4, 3)
 _X = np.linspace(0.01, 60.0, 3 * specfun._POINT_BLOCK)
+_EDGE = spectral._NEWTON_FROM + 3 * spectral._ROOT_BLOCK
+_ROOTS = [(2.5, _EDGE - 1), (2.5, _EDGE), (2.5, _EDGE + 1), (1e-30, _EDGE + 1),
+          (1e150, _EDGE + 1)]
 
 
 def _pooled_work():
-    gram, tail = cov_spectral_gram(_P1, BoundarySpec.robin(3.0), _BOX1, _PTS1,
-                                   TruncationSpec(20000))
+    grams = [cov_spectral_gram(_P1, BoundarySpec(kind, beta), _BOX1, _PTS1,
+                               TruncationSpec(20000))
+             for kind, beta in (("robin", 3.0), ("neumann", None), ("periodic", None))]
+    grams += [cov_spectral_gram(_P2, bc, BoxDomain(0.1, 1.0, (1.1, 1.3), 2), _PTS2,
+                                TruncationSpec(500))
+              for bc in (BoundarySpec.periodic(), BoundarySpec.robin(2.0))]
+    roots = [robin_eigen_1d(bl / 1.2, 1.2, count) for bl, count in _ROOTS]
     ens = sample_ensemble(_P1, BoundarySpec.periodic(), _BOX1, _PTS1[::2], TruncationSpec(100),
                           77, 700)
-    return (gram, tail, np.stack([s.values for s in ens]),
+    return (grams, [(eig.alphas, eig.norms) for eig in roots],
+            np.stack([s.values for s in ens]),
             cov_folded_gram(_P2, BoxDomain.cubic(0.1, 1.0, 2), "neumann", _PTS2),
             cov_folded_gram(_P3, BoxDomain.cubic(0.1, 1.0, 3), "dirichlet", _PTS3),
             log_bessel_k(1.5, _X))
 
 
 def _assert_same_work(a, b):
-    assert np.array_equal(a[0], b[0]) and a[1] == b[1] and np.array_equal(a[2], b[2])
-    for (gram_a, tail_a), (gram_b, tail_b) in (a[3], b[3]), (a[4], b[4]):
-        assert np.array_equal(gram_a, gram_b) and tail_a == tail_b
-    assert np.array_equal(a[5], b[5])
+    """Equal bits in every array and every tail of two _pooled_work results."""
+    if isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for part_a, part_b in zip(a, b):
+            _assert_same_work(part_a, part_b)
+    else:
+        assert np.array_equal(a, b)
 
 
 def test_map_blocks_keeps_order_and_bounds_work_in_flight(block_pool):
@@ -827,9 +855,11 @@ def test_one_and_three_worker_pools_agree_bitwise(block_pool):
     serial = _joined(_pooled_work)
     pool = block_pool(3)
     pooled = _joined(_pooled_work)
-    # Robin blocks, draw blocks, 3 row runs and 3 row-sum runs per folded
+    # Robin, Neumann and periodic mode blocks, twice 4 weight row blocks,
+    # root blocks, draw blocks, 3 row runs and 3 row-sum runs per folded
     # Gram, and kernel blocks
-    assert serial_pool.submitted == 0 and pool.submitted >= 5 + 3 + 2 * 6 + 3
+    assert serial_pool.submitted == 0
+    assert pool.submitted >= 5 + 5 + 10 + 2 * 4 + (3 + 3 + 4 * 3) + 3 + 2 * 6 + 3
     _assert_same_work(serial, pooled)
 
 
