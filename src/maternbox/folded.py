@@ -21,15 +21,17 @@ the ``math.fsum`` of the row, bit for bit.  Where the first two axes share
 a period, rows (a, b, ...) and (b, a, ...) have the same image distances bit
 for bit (axis 1 is added to axis 0 first, and addition commutes), so they
 share one row.  The rows are split into one run per thread of the block pool
-(``_blocks``): each run forms its distances and later its row sums on the
-pool, and the kernel is evaluated once per distinct image distance across
-all runs, in the caller.  The tail adds, over the reflection families,
+(``_blocks``), and each run is one pool block: it forms its distances,
+evaluates the kernel once per distinct image distance of its own and
+returns its row sums, streaming its rows in chunks of at most
+``_CHUNK_IMAGES`` images.  The tail adds, over the reflection families,
 the remainder at that family's largest pair separation, so a one-point Gram
 certifies exactly what the pair function does.  The default radius is the
 smallest whose tail, that same per-family sum, meets the tolerance; the
 search and the returned tail read one shell table (``_Tails``).  Points
 (``matern.as_points``) may lie outside the box: a periodic sum takes any
-finite point.
+finite point, while pair separations stay within ``_MAX_SHELLS`` smallest
+periods.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._blocks import _block_pool, _map_blocks
-from .matern import MaternParams, as_points, check_dimension, decay_factor, unit_matern
+from .matern import (MaternParams, _unit_matern, as_points, check_dimension, decay_factor,
+                     unit_matern)
 
 if TYPE_CHECKING:
     from .spectral import BoxDomain
@@ -69,6 +72,12 @@ _TAIL_BLOCK = 2 * _CLOSURE_SHELLS
 # magnitudes whose bucket sums scale exactly (see _row_fsums)
 _SUM_MIN = 2.0 ** -960
 _SUM_MAX = 2.0 ** 960
+# images in one chunk of a run's rows, so the most one row may have (d = 3 up
+# to radius 63); 16 MB of squared distances per pool thread
+_CHUNK_IMAGES = 2 ** 21
+# pair separations, in smallest periods, the image sums take: shell indices
+# stay exact integers, and their powers in the tail stay finite
+_MAX_SHELLS = 2.0 ** 53
 
 
 @dataclass(frozen=True)
@@ -227,7 +236,7 @@ class _Tails:
 
 def _check_radius(radius, least: int) -> int:
     """``radius`` as an int if it is an integer >= ``least``, else ``ValueError``."""
-    if not isinstance(radius, numbers.Integral) or radius < least:
+    if not isinstance(radius, numbers.Integral) or isinstance(radius, bool) or radius < least:
         raise ValueError(f"radius must be an integer >= {least}, got {radius!r}")
     return int(radius)
 
@@ -277,19 +286,20 @@ def _row_fsums(values: np.ndarray, inv: np.ndarray, counts: np.ndarray, row: np.
     Each value is m * 2^(e-53) with an integer significand |m| < 2^53,
     split as m = hi * 2^26 + lo into integers below 2^27.  Per (row,
     exponent) the hi and the lo times their counts are summed with
-    ``np.bincount``; with fewer than 2^26 images per row every such sum is
-    an integer below 2^53, so it is exact in float64, and so is its scaling
-    by 2^(e-27) or 2^(e-53) while every nonzero |value| lies in
-    [2^-960, 2^960].  The row's exact sum is then the sum of these few
-    scaled bucket sums, and ``math.fsum`` rounds either list to the same
-    correctly rounded number.  Rows with no more images than bucket terms,
-    or values out of that range, go straight to ``math.fsum``.  Only the
-    distinct values are decomposed.
+    ``np.bincount``, one bucket per exponent from the smallest to the
+    largest (zero reads exponent 0 and adds nothing); with fewer than 2^26
+    images per row every such sum is an integer below 2^53, so it is exact
+    in float64, and so is its scaling by 2^(e-27) or 2^(e-53) while every
+    nonzero |value| lies in [2^-960, 2^960].  The row's exact sum is then
+    the sum of these scaled bucket sums, and ``math.fsum`` rounds either
+    list to the same correctly rounded number.  Rows with no more images
+    than bucket terms, or values out of that range, go straight to
+    ``math.fsum``.  Only the distinct values are decomposed.
     """
     n_images = int(counts.sum()) // n_rows
     frac, exps = np.frexp(values)
-    bucket_exps, bucket = np.unique(exps, return_inverse=True)
-    n_buckets = bucket_exps.size
+    low = int(exps.min())
+    n_buckets = int(exps.max()) - low + 1
     mag = np.abs(values)
     scalable = np.all((mag == 0.0) | ((mag >= _SUM_MIN) & (mag <= _SUM_MAX)))
     if not (scalable and 2 * n_buckets < n_images < 2 ** 26):
@@ -298,8 +308,9 @@ def _row_fsums(values: np.ndarray, inv: np.ndarray, counts: np.ndarray, row: np.
     m = np.ldexp(frac, 53)
     hi = np.floor(np.ldexp(m, -26))
     lo = m - np.ldexp(hi, 26)
-    key = bucket[inv]
+    key = exps[inv] - low
     key += row * n_buckets
+    bucket_exps = np.arange(low, low + n_buckets)
     sums = []
     for half, scale in ((hi, 27), (lo, 53)):
         weights = half[inv]
@@ -339,6 +350,36 @@ def _row_distances(rows: np.ndarray, periods: np.ndarray, radius: int, dropped: 
     return dist2, inv, np.diff(np.append(starts, size)), starts // n_images
 
 
+def _run_sums(params: MaternParams, rows: np.ndarray, periods: np.ndarray, radius: int,
+              dropped: np.ndarray) -> np.ndarray:
+    """The exactly rounded image sum of each row of a run, in row order.
+
+    The rows go in chunks of at most ``_CHUNK_IMAGES`` images; each chunk
+    forms its distances (``_row_distances``), evaluates the kernel once per
+    distinct distance (distinct squared distances with one rounded square
+    root share one value; the dropped zero shifts read 0) and is reduced to
+    its row sums (``_row_fsums``) before the next begins.  The kernel goes
+    through ``matern._unit_matern``: a block on the pool calls no public
+    name.
+    """
+    per_chunk = _CHUNK_IMAGES // (2 * radius + 1) ** len(periods)
+    sums = []
+    for lo in range(0, len(rows), per_chunk):
+        chunk = slice(lo, lo + per_chunk)
+        dist2, inv, counts, row = _row_distances(rows[chunk], periods, radius, dropped[chunk])
+        # dist2 is sorted, so equal square roots are adjacent: one kernel value each
+        kept = dist2 >= 0.0
+        r = np.sqrt(dist2[kept])
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = r[1:] != r[:-1]
+        mvals = np.zeros(dist2.size)
+        mvals[kept] = (params.sigma2 * _unit_matern(params.nu, params.kappa * r[first]))[
+            np.cumsum(first) - 1]
+        del r, first  # freed before the row sums
+        sums.append(_row_fsums(mvals, inv, counts, row, len(rows[chunk])))
+    return np.concatenate(sums)
+
+
 def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray,
                 pairs, radius: int | None, drop_identity: bool = False,
                 tol: float | None = None):
@@ -349,30 +390,45 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     symmetric per axis and IEEE negation is exact, so u and |u| have images
     at the same distances, bit for bit; with equal periods on axes 0 and 1
     the first two components are sorted, as (a, b, ...) and (b, a, ...)
-    have the same distances too.  Each row keeps its distinct image squared
-    distances with their counts (``_row_distances``, one run of rows per
-    pool thread), and the kernel is evaluated once per distinct distance
-    across rows.  Each row's
-    images, then each pair's signed family sums, are summed exactly rounded
-    (``_row_fsums`` equals ``math.fsum`` of the row's images), so no order
-    matters.  The tail sums, over the reflections, the certified remainder
-    at that reflection's largest separation, which for a single pair is the
-    pair's own remainder.  One ``_Tails`` table serves the radius search and
-    the returned tail: the default radius is the smallest this tail
-    certifies below ``tol`` (``pick_radius``'s default when None), or below
-    the default tolerance where no radius up to 128 meets a given ``tol``.
-    An explicit radius must be an integer >= 0.
+    have the same distances too.  The rows are split into one run per pool
+    thread, and each run is one pool block (``_run_sums``): it forms its
+    rows' distinct image squared distances with their counts, evaluates
+    the kernel once per distinct distance of its own and returns its
+    exactly rounded row sums; the caller only concatenates them.  Each
+    row's images, then each pair's signed family sums, are summed exactly
+    rounded (``_row_fsums`` equals ``math.fsum`` of the row's images), and
+    a kernel value does not depend on its batch, so neither the runs nor
+    their chunks show in the result.  A row of more than ``_CHUNK_IMAGES``
+    images raises ``ValueError``, as does a separation beyond
+    ``_MAX_SHELLS`` smallest periods.  The tail sums, over the reflections,
+    the certified remainder at that reflection's largest separation, which
+    for a single pair is the pair's own remainder.  One ``_Tails`` table
+    serves the radius search and the returned tail: the default radius is
+    the smallest this tail certifies below ``tol`` (``pick_radius``'s
+    default when None), or below the default tolerance where no radius up
+    to 128 meets a given ``tol``.  An explicit radius must be an integer
+    >= 0.
     """
     d = params.d
     eps, periods = _families(params, box, kind)
+    if radius is not None:
+        radius = _check_radius(radius, 0)
     i, j = (np.asarray(idx, dtype=int) for idx in pairs)
-    u = np.abs(pts[i] - eps[:, None, :] * pts[j])  # (families, pairs, d)
-    tails = _Tails(params, float(periods.min()), u.max(axis=(1, 2)))
+    with np.errstate(over="ignore"):  # an overflow reads inf, refused below
+        u = np.abs(pts[i] - eps[:, None, :] * pts[j])  # (families, pairs, d)
+    seps = u.max(axis=(1, 2))
+    far = _MAX_SHELLS * float(periods.min())
+    if not np.all(seps <= far):
+        raise ValueError(f"pair separation {float(seps.max()):g} exceeds {far:g}, the largest "
+                         "the image sums take (2^53 smallest periods)")
+    tails = _Tails(params, float(periods.min()), seps)
     default = _DEFAULT_TAIL_FACTOR * params.sigma2
     if radius is None:
         radius = tails.pick(default if tol is None else tol, default)
-    else:
-        radius = _check_radius(radius, 0)
+    n_images = (2 * radius + 1) ** d
+    if n_images > _CHUNK_IMAGES:
+        raise ValueError(f"radius {radius} needs {n_images} images per row, above the "
+                         f"{_CHUNK_IMAGES} the image sums hold at once")
     keys = u.reshape(-1, d)
     if d >= 2 and periods[0] == periods[1]:  # rows (a, b, ...) and (b, a, ...) share images
         keys = np.column_stack([np.sort(keys[:, :2], axis=1), keys[:, 2:]])
@@ -380,23 +436,10 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
         keys = np.column_stack([keys, np.arange(len(keys)) < i.size])
     rows, row_of = np.unique(keys, axis=0, return_inverse=True)
     dropped = rows[:, -1] == 1 if drop_identity else np.zeros(len(rows), dtype=bool)
-    # one run of rows per pool worker, each deduplicating its own distances
+    # one run of rows per pool worker, each one block from distances to row sums
     runs = np.array_split(np.arange(len(rows)), min(_block_pool()[0], len(rows)))
-    parts = list(_map_blocks(
-        lambda run: _row_distances(rows[run, :d], periods, radius, dropped[run]), runs))
-    dist2, where = np.unique(np.concatenate([part[0] for part in parts]), return_inverse=True)
-    # dist2 is sorted, so equal square roots are adjacent: one kernel value each
-    kept = dist2 >= 0.0  # the dropped zero shifts read 0
-    r = np.sqrt(dist2[kept])
-    first = np.ones(r.size, dtype=bool)
-    first[1:] = r[1:] != r[:-1]
-    mvals = np.zeros(dist2.size)
-    mvals[kept] = (params.sigma2 * unit_matern(params.nu, params.kappa * r[first]))[
-        np.cumsum(first) - 1]
-    del r, first  # freed before the row sums
-    where = np.split(where, np.cumsum([part[0].size for part in parts])[:-1])
-    sums = [(mvals[w], *part[1:], run.size) for run, part, w in zip(runs, parts, where)]
-    row_sums = np.concatenate(list(_map_blocks(lambda a: _row_fsums(*a), sums)))
+    row_sums = np.concatenate(list(_map_blocks(
+        lambda run: _run_sums(params, rows[run, :d], periods, radius, dropped[run]), runs)))
     sign = np.prod(eps, axis=1, keepdims=True) if kind == "dirichlet" else 1.0
     family_sums = sign * row_sums[row_of.reshape(u.shape[:2])]
     vals = np.array([math.fsum(col) for col in family_sums.T.tolist()])

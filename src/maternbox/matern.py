@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import ln_gamma, log_bessel_k
+from .specfun import _log_bessel_k, ln_gamma, log_bessel_k
 
 __all__ = [
     "AnisoMetric",
@@ -77,15 +77,24 @@ def unit_matern(nu: float, t):
     ta = np.atleast_1d(ta)
     if ta.size and (np.any(ta < 0) or not np.all(np.isfinite(ta))):
         raise ValueError("unit_matern requires finite t >= 0")
+    out = _unit_matern(nu, ta, log_bessel_k)
+    return float(out[0]) if squeeze else out
+
+
+def _unit_matern(nu: float, ta: np.ndarray, log_k=_log_bessel_k) -> np.ndarray:
+    """``unit_matern`` of checked arguments: nu > 0 and an array of finite
+    t >= 0.  Pooled code calls this, with the private ``log_k``; the public
+    name passes the public ``log_bessel_k``, so a traced call shows its
+    kernel call."""
     out = np.ones_like(ta)
     pos = ta > 0
     if np.any(pos):
         tp = ta[pos]
-        logm = (nu * np.log(tp) + log_bessel_k(nu, tp)
-                - (nu - 1.0) * _LN2 - ln_gamma(nu))
+        logm = (nu * np.log(tp) + log_k(nu, tp)
+                - (nu - 1.0) * _LN2 - math.lgamma(nu))
         # the exact value never exceeds 1; shave off rounding in the exponent
         out[pos] = np.exp(np.minimum(logm, 0.0))
-    return float(out[0]) if squeeze else out
+    return out
 
 
 def as_points(points, d: int, n: int | None = None, name: str = "points") -> np.ndarray:

@@ -247,13 +247,18 @@ def log_bessel_k(nu: float, x) -> np.ndarray:
     nu = float(nu)
     if not math.isfinite(nu):
         raise ValueError(f"order must be finite, got {nu!r}")
-    nu = abs(nu)
     xa = np.asarray(x, dtype=float)
     squeeze = xa.ndim == 0
     xa = np.atleast_1d(xa)
     if xa.size and (not np.all(np.isfinite(xa)) or np.any(xa <= 0.0)):
         raise ValueError("bessel argument must be finite and > 0")
+    out = _log_bessel_k(abs(nu), xa)
+    return out[0] if squeeze else out
 
+
+def _log_bessel_k(nu: float, xa: np.ndarray) -> np.ndarray:
+    """``log_bessel_k`` of checked arguments: a finite order nu >= 0 and an
+    array of finite x > 0.  Pooled code calls this, not the public name."""
     n = int(nu + 0.5)
     mu = nu - n  # |mu| <= 1/2
     flat = xa.ravel()
@@ -266,7 +271,7 @@ def log_bessel_k(nu: float, x) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         bad = xa[~np.isfinite(out)]
         raise ConvergenceError(f"non-finite K evaluation (nu={nu}, x={bad[:5]})")
-    return out[0] if squeeze else out
+    return out
 
 
 def bessel_k(nu: float, x: float) -> BesselEval:

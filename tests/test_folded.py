@@ -1,12 +1,13 @@
 """Image sums: structure, oracle agreement, tail certificates."""
 
 import math
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
-from maternbox import folded
+from maternbox import _blocks, folded
 from maternbox.folded import (
     ImageSum,
     SignVector,
@@ -350,12 +351,114 @@ def test_axis_swap_shares_rows_in_square_axes_only(monkeypatch):
         assert sum(rows) == want, (lengths, rows)
 
 
+def test_run_block_bitwise_at_any_worker_count_and_chunking(block_pool, monkeypatch):
+    # each run of rows is one pool block that forms its distances, its kernel
+    # values and its exact row sums, chunk by chunk: the Gram is the same at
+    # 1 and 3 workers, and with runs split into chunks of one or two rows
+    seen = []
+    row_distances = folded._row_distances
+
+    def recorded(rs, periods, radius, dropped):
+        seen.append((len(rs), radius))
+        return row_distances(rs, periods, radius, dropped)
+
+    monkeypatch.setattr(folded, "_row_distances", recorded)
+    serial, pooled = block_pool(1), block_pool(3)
+    limit0 = folded._CHUNK_IMAGES
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3):
+        p = derive_params(1.0, 0.5, 1.5, d)
+        pts = rng.uniform(0.05, 1.15, size=(4, d))
+        for lengths, kind, radius, drop in product(((1.2,) * d, (1.2, 1.4, 1.3)[:d]),
+                                                   ("dirichlet", "neumann", "periodic"),
+                                                   (None, 2), (False, True)):
+            box = BoxDomain(delta=0.1, ell=1.0, lengths=lengths, d=d)
+            case = (d, lengths, kind, radius, drop)
+            monkeypatch.setattr(_blocks, "_pool", (1, serial))
+            gram, tail = cov_folded_gram(p, box, kind, pts, radius, drop_identity=drop)
+            monkeypatch.setattr(_blocks, "_pool", (3, pooled))
+            seen.clear()
+            got = cov_folded_gram(p, box, kind, pts, radius, drop_identity=drop)
+            assert np.array_equal(got[0], gram) and got[1] == tail, case
+            (n_rows, used), runs = seen[0], len(seen)
+            assert runs == 3 and all(r == used for _, r in seen), case
+            per_row = (2 * used + 1) ** d
+            for limit, per_chunk in ((per_row, 1), (2 * per_row + 1, 2)):
+                monkeypatch.setattr(folded, "_CHUNK_IMAGES", limit)
+                seen.clear()
+                got = cov_folded_gram(p, box, kind, pts, radius, drop_identity=drop)
+                assert np.array_equal(got[0], gram) and got[1] == tail, (case, limit)
+                assert max(n for n, _ in seen) == per_chunk and len(seen) > runs, (case, seen)
+            monkeypatch.setattr(folded, "_CHUNK_IMAGES", limit0)
+    assert pooled.submitted > 0 and serial.submitted == 0
+
+
+def test_row_beyond_the_image_limit_raises_before_allocating():
+    # the edge rows that asked for 15-23 GiB: d = 3 Neumann on a 3^3 grid,
+    # radius 108 (10.2M images a row) and 124 (15.4M); the radius search
+    # alone runs before the refusal
+    import tracemalloc
+
+    box = BoxDomain.cubic(0.2, 1.0, 3)
+    axis = np.linspace(0.1, 1.1, 3)
+    pts = np.array(list(product(axis, axis, axis)))
+    for nu, rho, radius in ((1.0, 10.0, 108), (0.05, 3.0, 124)):
+        p = derive_params(1.0, rho, nu, 3)
+        images = (2 * radius + 1) ** 3
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^radius {radius} needs {images} images per "
+                                                 rf"row, above the 2097152 the image sums"):
+                cov_folded_gram(p, box, "neumann", pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, (nu, rho, peak)
+    # an explicit radius is checked the same way, in the pair function too
+    p = derive_params(1.0, 1.0, 1.0, 3)
+    with pytest.raises(ValueError, match=r"^radius 64 needs 2146689 images per row"):
+        cov_folded(p, box, "neumann", pts[0], pts[1], 64)
+    assert cov_folded(p, box, "neumann", pts[0], pts[1], 63).radius == 63
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_points_raise_value_error():
+    # (1e300, 0) in d = 2: the tail's shell powers overflowed (a
+    # RuntimeWarning, else NaN tails); a pair separation past 2^53 smallest
+    # periods is refused, for the default and an explicit radius, and a sum
+    # that overflows the separation itself reads as too far too
+    p = derive_params(1.0, 0.5, 1.0, 2)
+    box = BoxDomain.cubic(0.2, 1.0, 2)
+    far = 2.0 ** 53 * 2.4
+    message = (r"^pair separation \S+ exceeds " + re.escape(f"{far:g}")
+               + r", the largest the image sums take \(2\^53 smallest periods\)$")
+    for x, y in (([0.1, 0.2], [1e300, 0.0]), ([1.7e308, 0.5], [1.7e308, 0.5]),
+                 ([0.1, 0.2], [0.1 + 1.001 * far, 0.2])):
+        for radius in (None, 3):
+            for call in (lambda: cov_folded_gram(p, box, "neumann", [x, y], radius),
+                         lambda: cov_folded(p, box, "neumann", x, y, radius)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+    with pytest.raises(ValueError, match=r"^pair separation 1e\+300 exceeds "):
+        cov_folded(p, box, "periodic", [0.1, 0.2], [1e300, 0.0])
+    # a far pair within the limit: no radius certifies by default, and an
+    # explicit radius returns a finite tail
+    x, y = [0.1, 0.2], [0.1 + 0.999 * far, 0.2]
+    with pytest.raises(ValueError, match=r"^no radius up to 128 certifies"):
+        cov_folded(p, box, "neumann", x, y)
+    s = cov_folded(p, box, "neumann", x, y, 2)
+    assert math.isfinite(s.value) and math.isfinite(s.tail_bound) and s.tail_bound > 1e30
+    # periodic points far outside the box but close to each other still sum
+    near = cov_folded(p, box, "periodic", [1e300, 0.2], [1e300, 0.3])
+    assert near.value == cov_folded(p, box, "periodic", [0.1, 0.2], [0.1, 0.3]).value
+
+
 def _reference_row_fsums(values, index):
     return np.array([math.fsum(values[row].tolist()) for row in index])
 
 
-@pytest.mark.parametrize("case", ["zeros", "ones", "subnormal", "span", "single", "long",
-                                  "long_mixed"])
+@pytest.mark.parametrize("case", ["zeros", "ones", "subnormal", "span", "span_zeros", "single",
+                                  "long", "long_mixed"])
 def test_row_sums_equal_fsum_bitwise(case):
     # math.fsum is the reference on rows built to break a non-exact sum:
     # cancellation of huge and tiny terms, ties, subnormals, empty buckets
@@ -376,6 +479,15 @@ def test_row_sums_equal_fsum_bitwise(case):
                           rng.integers(-955, 955, 64))
         values = np.concatenate([values, [1.0, 2.0 ** -53, 2.0 ** -54, 3.0 * 2.0 ** -54]])
         index = rng.integers(0, values.size, size=(6, long))
+    elif case == "span_zeros":
+        # one bucket per exponent from the smallest to the largest: values
+        # over 500 binades far below 1, and zeros, whose exponent 0 widens
+        # the range to 700 buckets (the bucketed path: 1402 < 4096 images)
+        values = np.ldexp(1.0 + rng.integers(0, 2 ** 52, 200) * 2.0 ** -52,
+                          rng.integers(-700, -200, 200))
+        values = np.concatenate([values, [0.0, 0.0]])
+        index = rng.integers(0, values.size, size=(6, long))
+        index[:, :50] = values.size - 1
     elif case == "single":
         values = rng.random(9) * np.ldexp(1.0, rng.integers(-40, 40, 9))
         index = np.arange(9)[:, None]
@@ -559,7 +671,7 @@ def test_gram_search_and_tail_read_one_shell_table(monkeypatch):
     from maternbox.matern import decay_factor
     from maternbox.spectral import cov_spectral_gram
 
-    points, decays, picks = [], [], []
+    points, decays, picks, image_calls, runs = [], [], [], [], []
 
     def counted(nu, t):
         points.append(np.size(t))
@@ -576,19 +688,36 @@ def test_gram_search_and_tail_read_one_shell_table(monkeypatch):
         picks.append((tails, tol, fallback, radius))
         return radius
 
+    image_kernel = folded._unit_matern
+
+    def counted_image_kernel(nu, t):
+        image_calls.append(np.size(t))
+        return image_kernel(nu, t)
+
+    row_distances = folded._row_distances
+
+    def counted_rows(rs, *args):
+        runs.append(len(rs))
+        return row_distances(rs, *args)
+
     monkeypatch.setattr(folded, "unit_matern", counted)
     monkeypatch.setattr(folded, "decay_factor", counted_decay)
     monkeypatch.setattr(folded._Tails, "pick", recorded)
-    # a default radius: one decay factor, one 96-shell block per family, then the images
+    monkeypatch.setattr(folded, "_unit_matern", counted_image_kernel)
+    monkeypatch.setattr(folded, "_row_distances", counted_rows)
+    # a default radius: one decay factor and one 96-shell block per family;
+    # the images take one private kernel call per run of rows, one run per
+    # pool worker
     for d, kind in ((1, "periodic"), (2, "neumann"), (2, "dirichlet")):
         p = derive_params(1.0, 0.3, 1.0, d)
         box = BoxDomain.cubic(0.2, 1.0, d)
         pts = np.linspace(0.1, 1.1, 4 * d).reshape(4, d)
-        for log in (points, decays, picks):
+        for log in (points, decays, picks, image_calls, runs):
             log.clear()
         _, tail = cov_folded_gram(p, box, kind, pts)
         families = 1 if kind == "periodic" else 2 ** d
-        assert len(decays) == 1 and points[:-1] == [96 * families], (d, kind, points)
+        assert len(decays) == 1 and points == [96 * families], (d, kind, points)
+        assert len(image_calls) == len(runs) == min(folded._block_pool()[0], sum(runs))
         ((tails, _, _, radius),) = picks
         assert tail == tails(radius) and radius <= 47
     # the d = 1 Robin route whose remainder no radius up to 128 meets: the
@@ -597,10 +726,11 @@ def test_gram_search_and_tail_read_one_shell_table(monkeypatch):
     p = derive_params(1.0, 10.0, 2.5, 1)
     box = BoxDomain.cubic(0.1, 1.0, 1)
     pts = np.linspace(0.1, 1.0, 5)
-    for log in (points, decays, picks):
+    for log in (points, decays, picks, image_calls, runs):
         log.clear()
     cov_spectral_gram(p, BoundarySpec.robin(1.0), box, pts, TruncationSpec(2000))
-    assert len(decays) == 1 and points[:-1] == [2 * 96, 2 * 96], points
+    assert len(decays) == 1 and points == [2 * 96, 2 * 96], points
+    assert len(image_calls) == len(runs) == min(folded._block_pool()[0], sum(runs))
     ((tails, tol, fallback, radius),) = picks
     assert fallback == 1e-8 * p.sigma2 and tails(128) > tol
     assert tails(radius) <= fallback < tails(radius - 1)

@@ -126,10 +126,11 @@ def test_one_dim_points_are_a_column():
     assert np.array_equal(s1.grid, col) and np.array_equal(s1.values, s2.values)
 
 
-@pytest.mark.parametrize("radius", [2.5, 3.0, -1, "3", None])
+@pytest.mark.parametrize("radius", [2.5, 3.0, -1, "3", None, True, False])
 def test_bad_radius_raises(radius):
     # an explicit radius is an integer >= 0 (>= 1 for image_tail_bound): a
-    # fractional one would sum a wrong image set under a valid-looking tail
+    # fractional one would sum a wrong image set under a valid-looking tail,
+    # and a bool is no radius (True was taken as radius 1)
     x, y = [0.3], [0.7]
     calls = [lambda: image_tail_bound(P1, BOX1, radius, bc="neumann")]
     if radius is not None:

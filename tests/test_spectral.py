@@ -1,11 +1,11 @@
 """Box eigenpairs, Robin roots, and the truncated modal covariance."""
 
+import importlib
 import math
 import multiprocessing
 import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -745,32 +745,6 @@ def test_d2_modal_gram_memory_not_per_pair():
     assert peak <= 8 * 2 ** 20, peak
 
 
-class _CountingPool(ThreadPoolExecutor):
-    def __init__(self, workers):
-        super().__init__(workers)
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
-
-
-@pytest.fixture
-def block_pool(monkeypatch):
-    """Install a pool of the given worker count in place of the module's own."""
-    made = []
-
-    def install(workers):
-        pool = _CountingPool(workers)
-        made.append(pool)
-        monkeypatch.setattr(_blocks, "_pool", (workers, pool))
-        return pool
-
-    yield install
-    for pool in made:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 def _joined(fn, timeout=120.0):
     """fn() run in a thread joined with a timeout, so a deadlock fails instead of hanging."""
     out = []
@@ -856,11 +830,53 @@ def test_one_and_three_worker_pools_agree_bitwise(block_pool):
     pool = block_pool(3)
     pooled = _joined(_pooled_work)
     # Robin, Neumann and periodic mode blocks, twice 4 weight row blocks,
-    # root blocks, draw blocks, 3 row runs and 3 row-sum runs per folded
-    # Gram, and kernel blocks
+    # root blocks, draw blocks, 3 row runs per folded Gram (each from
+    # distances to row sums), and kernel blocks
     assert serial_pool.submitted == 0
-    assert pool.submitted >= 5 + 5 + 10 + 2 * 4 + (3 + 3 + 4 * 3) + 3 + 2 * 6 + 3
+    assert pool.submitted >= 5 + 5 + 10 + 2 * 4 + (3 + 3 + 4 * 3) + 3 + 2 * 3 + 3
     _assert_same_work(serial, pooled)
+
+
+def test_pool_blocks_call_no_public_layer_name(block_pool, monkeypatch):
+    # bench/spans.py wraps every __all__ function of the layer modules, in
+    # every namespace that binds it, and its span stack is not thread-safe:
+    # every such call must come from the main thread, never from a block
+    import maternbox
+
+    layers = [importlib.import_module(f"maternbox.{name}") for name in
+              ("specfun", "matern", "folded", "bounds", "spectral", "sampler", "experiments")]
+    public = {}
+    for mod in layers:
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if callable(obj) and not isinstance(obj, type):
+                public[id(obj)] = f"{mod.__name__}.{name}"
+    strays = []
+
+    def main_thread_only(fn, name):
+        def wrapped(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                strays.append(name)
+                raise AssertionError(f"{name} called from a pool block")
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in [maternbox] + layers:
+        for attr, value in list(vars(mod).items()):
+            if callable(value) and id(value) in public:
+                monkeypatch.setattr(mod, attr, main_thread_only(value, public[id(value)]))
+    assert threading.current_thread() is threading.main_thread()
+    pool = block_pool(3)
+    for (d, p, pts), kind, drop in product(((2, _P2, _PTS2), (3, _P3, _PTS3)),
+                                           ("dirichlet", "neumann", "periodic"), (False, True)):
+        maternbox.cov_folded_gram(p, BoxDomain.cubic(0.1, 1.0, d), kind, pts, drop_identity=drop)
+    assert pool.submitted == 2 * 3 * 2 * 3  # 3 row runs per Gram
+    maternbox.cov_spectral_gram(_P1, BoundarySpec.robin(3.0), _BOX1, _PTS1, TruncationSpec(20000))
+    maternbox.sample_ensemble(_P1, BoundarySpec.periodic(), _BOX1, _PTS1[::2],
+                              TruncationSpec(100), 77, 700)
+    # the Robin Gram's mode blocks and Neumann row runs, and 3 draw blocks
+    assert pool.submitted >= 36 + 5 + 3 + 3
+    assert not strays, strays
 
 
 def test_concurrent_callers_get_the_serial_results(block_pool):
