@@ -171,8 +171,6 @@ def dirichlet_error_bound(params: MaternParams, delta: float, box: BoxDomain) ->
 
 
 def _closed_form_prefactor(d: int, f_ell: float) -> float:
-    if not 0.0 <= f_ell < 1.0:
-        raise ValueError(f"decay factor must lie in [0, 1), got {f_ell!r}")
     # f_ell can underflow to 0 for huge kappa * ell; the limit value applies
     return (2 ** d - 1) * (1.0 + 2 ** d * math.factorial(d) * f_ell
                            / (1.0 - f_ell) ** d)

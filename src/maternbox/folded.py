@@ -184,23 +184,27 @@ class _Tails:
     def _tails(self, radii: np.ndarray) -> np.ndarray:
         """The tail of each integer radius in ``radii``; the table must hold
         their shells.  Each radius's terms are summed as one row, as one
-        radius alone sums them."""
+        radius alone sums them.  A shell count or closure beyond the float
+        range (a far separation in d >= 2) makes the tail inf."""
         d = self.params.d
         r = radii[:, None]
         first, skip = self._skips(radii)
         js = first[..., None] + np.arange(_CLOSURE_SHELLS + 1.0)
         j_close = r + 1 + _CLOSURE_SHELLS * np.maximum(
             1.0, np.ceil((first - r - 1) / _CLOSURE_SHELLS))
-        # sum_{j >= J} 2d (3j)^(d-1) f^(j-J) <= 2d (3J)^(d-1) (d-1)! / (1-f)^d
-        closure = ((3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1)
-                   / (1.0 - self.f) ** d)
-        weight = np.where(js < j_close[..., None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
-        weight = np.where(js == j_close[..., None], closure[..., None], weight)
         cols = skip.astype(int)[..., None] + np.arange(_CLOSURE_SHELLS + 1)
         vals = self.kernel[np.arange(self.seps.size)[:, None], cols]
-        ones = (2 * first - 1) ** d - (2 * r + 1) ** d  # shells radius + 1 .. dead
-        terms = (weight * vals).reshape(len(radii), -1)
-        return self.params.sigma2 * (np.sum(ones, axis=1) + np.sum(terms, axis=1))
+        # an overflowed count reads inf, and inf - inf or inf * 0 NaN, made inf below
+        with np.errstate(over="ignore", invalid="ignore"):
+            # sum_{j >= J} 2d (3j)^(d-1) f^(j-J) <= 2d (3J)^(d-1) (d-1)! / (1-f)^d
+            closure = ((3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1)
+                       / (1.0 - self.f) ** d)
+            weight = np.where(js < j_close[..., None], (2 * js + 1) ** d - (2 * js - 1) ** d, 0.0)
+            weight = np.where(js == j_close[..., None], closure[..., None], weight)
+            ones = (2 * first - 1) ** d - (2 * r + 1) ** d  # shells radius + 1 .. dead
+            terms = (weight * vals).reshape(len(radii), -1)
+            tails = self.params.sigma2 * (np.sum(ones, axis=1) + np.sum(terms, axis=1))
+        return np.where(np.isnan(tails), np.inf, tails)
 
     def __call__(self, radius: int) -> float:
         radii = np.array([radius])

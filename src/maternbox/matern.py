@@ -196,12 +196,18 @@ def decay_factor(nu: float, kappa: float, x) -> float:
     """Geometric decay factor f(x) = M_{max(nu, 1/2)}(kappa x), for x > 0.
 
     This is the per-step ratio in the geometric domination of lattice tails:
-    M_nu(a + b) <= M_nu(a) * f_unit(b) for the kernel family.
+    M_nu(a + b) <= M_nu(a) * f_unit(b) for the kernel family.  Every
+    geometric closure of the package, 1 / (1 - f)^d, takes f from here, so
+    where f rounds to 1 (rho far beyond x) this raises ``ValueError``.
     """
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0):
         raise ValueError("decay_factor requires x > 0")
-    out = unit_matern(max(float(nu), 0.5), float(kappa) * xa)
+    t = float(kappa) * xa
+    out = unit_matern(max(float(nu), 0.5), t)
+    if np.any(out >= 1.0):
+        raise ValueError(f"decay factor M(kappa x) rounds to 1 at kappa x = {np.min(t):g}: "
+                         "rho is too far beyond the box for a geometric tail to close")
     return out
 
 

@@ -39,9 +39,11 @@ matching normalization, so all arithmetic stays real.
 Robin roots n >= 12 come from vectorized Newton steps, in blocks of roots
 on the pool; each is read off as the adjacent-float bracket that bisection
 to its fixed point ends at, so the roots are bit for bit the bisection's
-(see ``robin_eigen_1d``).  Where a bracket shows no computed sign change
-(tiny or huge beta L), Newton's root stands in if it passes a residual
-check.  Points (``matern.as_points``) must lie in the closed box.
+(see ``robin_eigen_1d``).  Each block returns its roots finished, and the
+roots n < 12 are one more block of the same function, run in the caller.
+Where a bracket shows no computed sign change (tiny or huge beta L),
+Newton's root stands in if it passes a residual check.  Points
+(``matern.as_points``) must lie in the closed box.
 """
 
 from __future__ import annotations
@@ -308,6 +310,14 @@ def _robin_adjacent_brackets(a, lo, hi, flo, fhi, c: float):
     return done
 
 
+def _robin_secant(lo, hi, flo, fhi):
+    """One secant step in each bracket; its midpoint where the step leaves the bracket."""
+    denom = fhi - flo
+    mid = 0.5 * (lo + hi)
+    secant = np.where(denom != 0.0, lo - flo * (hi - lo) / np.where(denom == 0, 1.0, denom), mid)
+    return np.where((secant > lo) & (secant < hi), secant, mid)
+
+
 def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     """Solve the 1-d Robin eigenvalue problem for the first ``count`` modes.
 
@@ -335,10 +345,13 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     run through the bisection loop on that subset alone.  From count 7 on
     the loop's relative-width stop never fires (every final width is at
     least ulp(6 pi) = 3.6e-15 > 1e-15 pi), so each root still reaches its
-    own fixed point, and root 1 at tiny c its 90-step cap.  The bracket
-    ends, Newton steps and adjacent floats of roots n >= 12 run on the block
-    pool (``_blocks._map_blocks``) in blocks of ``_ROOT_BLOCK`` roots; every
-    step is elementwise, so each root has the bits it has on one thread.
+    own fixed point, and root 1 at tiny c its 90-step cap.  One block
+    function serves the head (roots n < 12, run in the caller) and the
+    blocks of ``_ROOT_BLOCK`` roots n >= 12 (on the block pool,
+    ``_blocks._map_blocks``): each forms its own brackets, finishes its
+    roots by the secant step (``_robin_secant``) and returns them with its
+    misses, which the caller settles.  Every step is elementwise, so each
+    root has the bits it has on one thread.
 
     At tiny c a root can lie within rounding of fl((n-1) pi), and at huge c
     (beta ell >~ 1e17) within rounding of fl(n pi), where the computed
@@ -360,75 +373,55 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     count, c = int(count), h * ell_axis
-    # bracket n runs from lo[n] = fl(n pi) (lo[0] just above 0) to hi[n] = fl((n + 1) pi)
-    # until narrowed in place below
-    lo, hi, flo, fhi = (np.empty(count) for _ in range(4))
 
-    def brackets(first, ends):
-        """Brackets first.. from their ends; False where a residual is not finite."""
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-            f_ends = _robin_residual(ends, c)
-        part = slice(first, first + ends.size - 1)
-        lo[part], hi[part], flo[part], fhi[part] = ends[:-1], ends[1:], f_ends[:-1], f_ends[1:]
-        return np.all(np.isfinite(f_ends))
+    def block(first):
+        """The roots of the head (first = 0) or of the root block from ``first``.
 
-    def newton_block(first):
-        """Roots first.. of one block by Newton, their brackets narrowed.
-
-        Returns (any bracket without a sign change, the roots whose
-        adjacent-float pair failed, their Newton roots), or None where a
-        residual at the bracket ends is not finite.
+        Returns None where a residual at the bracket ends is not finite, else
+        (any bracket without a sign change, the roots, and the misses: their
+        indices, Newton roots, lo, hi, flo and fhi).  The head takes Newton
+        roots only where it has such a bracket (at tiny c they divide by zero).
         """
-        part = slice(first, min(first + _ROOT_BLOCK, count))
-        ends = np.arange(part.start, part.stop + 1, dtype=float)
+        stop = min(first + _ROOT_BLOCK, count) if first else min(count, _NEWTON_FROM)
+        # bracket n runs from fl(n pi) (the head's first just above 0) to fl((n + 1) pi)
+        ends = np.arange(first, stop + 1, dtype=float)
         ends *= math.pi
-        if not brackets(first, ends):
+        if not first:
+            ends[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
+        with np.errstate(over="ignore", invalid="ignore"):  # None reports it
+            f_ends = _robin_residual(ends, c)
+        if not np.all(np.isfinite(f_ends)):
             return None
-        bad = np.any(np.sign(flo[part]) == np.sign(fhi[part]))
-        roots = _robin_newton(lo[part], c, np.arange(part.start, part.stop) % 2 == 1)
-        done = _robin_adjacent_brackets(roots, lo[part], hi[part], flo[part], fhi[part], c)
-        return bad, first + np.flatnonzero(~done), roots[~done]
+        # lo apart from hi: the adjacent floats are written into both in place
+        lo, hi, flo, fhi = ends[:-1].copy(), ends[1:], f_ends[:-1].copy(), f_ends[1:]
+        bad = np.any(np.sign(flo) == np.sign(fhi))
+        n = np.arange(first, stop)
+        newton = _robin_newton(n * math.pi, c, n % 2 == 1) if first or bad else None
+        miss = ~_robin_adjacent_brackets(newton, lo, hi, flo, fhi, c) if first else slice(None)
+        return (bad, _robin_secant(lo, hi, flo, fhi), n[miss],
+                None if newton is None else newton[miss], lo[miss], hi[miss], flo[miss], fhi[miss])
 
-    head = min(count, _NEWTON_FROM)
-    ends = np.arange(head + 1, dtype=float)
-    ends *= math.pi
-    ends[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
-    finite = brackets(0, ends)
-    # roots n >= 12 in blocks on the pool; each writes its own brackets
-    top = list(_map_blocks(newton_block, range(_NEWTON_FROM, count, _ROOT_BLOCK)))
-    if not finite or any(block is None for block in top):
+    blocks = [block(0), *_map_blocks(block, range(_NEWTON_FROM, count, _ROOT_BLOCK))]
+    if any(b is None for b in blocks):
         # (h ell)^2 overflows: NaN signs would slip past the bracket check
         raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
-    bad = np.any(np.sign(flo[:head]) == np.sign(fhi[:head]))
-
-    def no_sign_change(i):
-        return ConvergenceError(f"no sign change in Robin bracket (({i} pi, {i + 1} pi)) "
-                                f"for h*ell = {c}")
-
-    # Newton roots kept as they are.  Where a bracket n < 12 shows no sign
-    # change, its neighbours' sign changes can be a neighbouring root's, so
-    # every root n < 12 is Newton's
-    kept = np.arange(head if bad else 0)
-    kept_roots = _robin_newton(kept * math.pi, c, kept % 2 == 1)
-    slow = np.arange(kept.size, head)
-    if top:
-        miss = np.concatenate([block[1] for block in top])
-        if bad or any(block[0] for block in top):
-            kept = np.concatenate([kept, miss])
-            kept_roots = np.concatenate([kept_roots] + [block[2] for block in top])
-        else:
-            slow = np.concatenate([slow, miss])
-    resid = np.abs(_robin_residual(kept_roots, c))
-    fail = ~(resid <= np.maximum(1e-12, 2.0 * np.spacing(kept_roots)))
-    if np.any(fail):
-        raise no_sign_change(int(kept[np.argmax(fail)]))
-    lo[slow], hi[slow], flo[slow], fhi[slow] = _robin_bisect(
-        lo[slow], hi[slow], flo[slow], fhi[slow], c)
-    denom = fhi - flo
-    secant = np.where(denom != 0.0, lo - flo * (hi - lo) / np.where(denom == 0, 1.0, denom),
-                      0.5 * (lo + hi))
-    alphas = np.where((secant > lo) & (secant < hi), secant, 0.5 * (lo + hi))
-    alphas[kept] = kept_roots
+    alphas = np.concatenate([b[1] for b in blocks])
+    # Newton roots kept as they are where any bracket shows no sign change;
+    # the head has them only where one of its own brackets shows none
+    bad = any(b[0] for b in blocks)
+    kept = [b[2:4] for b in blocks if bad and b[3] is not None]
+    slow = [b[2:3] + b[4:] for b in blocks if not (bad and b[3] is not None)]
+    if kept:
+        idx, roots = (np.concatenate(part) for part in zip(*kept))
+        fail = ~(np.abs(_robin_residual(roots, c)) <= np.maximum(1e-12, 2.0 * np.spacing(roots)))
+        if np.any(fail):
+            i = int(idx[np.argmax(fail)])
+            raise ConvergenceError(f"no sign change in Robin bracket (({i} pi, {i + 1} pi)) "
+                                   f"for h*ell = {c}")
+        alphas[idx] = roots
+    if slow:
+        idx, *brackets = (np.concatenate(part) for part in zip(*slow))
+        alphas[idx] = _robin_secant(*_robin_bisect(*brackets, c))
     omegas = alphas / ell_axis
     norms = ell_axis / 2.0 * (1.0 + (h / omegas) ** 2) + h / omegas ** 2
     return RobinEigen1D(h=h, ell_axis=ell_axis, alphas=alphas, norms=norms)

@@ -1,6 +1,7 @@
 """A-priori bounds: combinatorial identities, lattice oracles, domination."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from maternbox.bounds import (
     power_sum_closed,
     window_error_bound,
 )
+from maternbox.folded import cov_folded_gram, image_tail_bound, pick_radius
 from maternbox.matern import AnisoMetric, decay_factor, derive_params, unit_matern
 from maternbox.spectral import BoxDomain
 
@@ -276,3 +278,34 @@ def test_lattice_kernel_sum_one_kernel_call_per_shell(monkeypatch):
     lattice_kernel_sum(p, (1.2, 1.2))
     # shell j of N0^2 holds 2j + 1 indices, plus its remainder anchor
     assert sizes == [2 * j + 2 for j in range(1, len(sizes) + 1)]
+
+
+def test_rho_far_beyond_the_box_raises_one_clear_error(monkeypatch):
+    # at rho = 1e9 the decay factor M(kappa x) of every closure rounds to 1,
+    # so no geometric tail closes: each entry point raises the same
+    # ValueError, with no warning or ZeroDivisionError on the way, and the
+    # lattice bounds raise it before their kernel sums any shell
+    import maternbox.bounds as bounds
+
+    shells = []
+
+    def counted(nu, t):
+        shells.append(np.size(t))
+        return unit_matern(nu, t)
+
+    monkeypatch.setattr(bounds, "unit_matern", counted)
+    p = derive_params(1.0, 1e9, 1.0, 2)
+    box = BoxDomain.cubic(0.2, 1.0, 2)
+    metric = AnisoMetric(np.eye(2), np.array([1e9, 2e9]))
+    for call in (lambda: cov_folded_gram(p, box, "neumann", [[0.3, 0.4], [0.5, 0.9]]),
+                 lambda: image_tail_bound(p, box, 3, bc="neumann"),
+                 lambda: pick_radius(p, box, "neumann"),
+                 lambda: lattice_error_bound(p, 0.2, box),
+                 lambda: dirichlet_error_bound(p, 0.2, box),
+                 lambda: window_error_bound(p, 0.2, 1.0),
+                 lambda: aniso_error_bound(1.0, 1.0, metric, 0.2, 1.0, 2)):
+        with pytest.raises(ValueError, match=r"^decay factor M\(kappa x\) rounds to 1 "), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call()
+    assert shells == []

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from itertools import product
 
 import numpy as np
@@ -638,6 +639,22 @@ def test_tail_counts_nonpositive_shells_in_closed_form():
                 got = image_tail_bound(p, box, radius, bc=kind, separation_inf=seps)
                 ref = _reference_tail(p, box, kind, seps, radius)
                 assert abs(got - ref) <= 1e-14 * ref, (d, kind, radius)
+
+
+def test_far_separation_bounds_or_fails_in_every_dimension():
+    # shells 4 .. sep / period read 1: the tail is at least 2 sigma^2, inf
+    # from d = 2 on where their counts pass the float range, and no radius
+    # certifies, without a warning
+    for d, kind, sep in product((1, 2, 3), ("periodic", "neumann"), (1e16, 1e200, 1e300)):
+        p = derive_params(1.0, 0.1, 1.0, d)
+        box = BoxDomain.cubic(0.2, 1.0, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = image_tail_bound(p, box, 3, bc=kind, separation_inf=sep)
+            with pytest.raises(ValueError, match=r"^no radius up to 128 certifies"):
+                pick_radius(p, box, kind, separation_inf=sep)
+        assert tail >= 2.0 * p.sigma2, (d, kind, sep)
+        assert (tail == math.inf) == (d >= 2 and sep >= 1e200), (d, kind, sep, tail)
 
 
 def test_tail_cost_independent_of_separation(monkeypatch):

@@ -244,8 +244,10 @@ def test_robin_roots_bitwise_equal_bisection(monkeypatch):
 
     monkeypatch.setattr(spectral, "_robin_bisect", counting_bisect)
     ell = 1.2
+    # counts one below, at and one above the first root block's edge
+    edge = spectral._NEWTON_FROM + spectral._ROOT_BLOCK
     configs = [(bl, count) for bl in (1e-4, 1e-2, 1.0, 12.0, 1e3, 1e6)
-               for count in (1, 6, 7, 11, 12, 13, 1001)]
+               for count in (1, 6, 7, 11, 12, 13, 1001, edge - 1, edge, edge + 1)]
     # roots near n pi, and a root 12 within an ulp of fl(11 pi), that fall
     # back to bisection; root 1 at the 90-step cap
     partial = [(1e16, 1001), (1e-20, 12), (1e-40, 12)]
@@ -294,6 +296,35 @@ def _check_newton_stand_ins(bl, count):
     assert np.all(np.abs(eig.eigenvalue_residual()) <= limit)
     with pytest.raises(AssertionError):  # the bisection alone has no answer
         _bisection_reference(bl / 1.2, 1.2, count)
+
+
+def test_robin_roots_hold_no_count_size_brackets(block_pool):
+    # each block returns its roots finished: four count-size bracket arrays
+    # and a secant step over them would add more than 3 MB at this count
+    import tracemalloc
+
+    for workers in (1, 3):
+        block_pool(workers)
+        robin_eigen_1d(2.5, 1.2, 100_001)  # the pool's threads exist
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            robin_eigen_1d(2.5, 1.2, 100_001)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5e6, (workers, peak)
+
+
+def test_robin_head_runs_in_the_caller(block_pool):
+    # the roots n < 12 are one more block, run in the caller; a single root
+    # block runs there too, and only two or more go to the pool
+    pool = block_pool(3)
+    edge = spectral._NEWTON_FROM + spectral._ROOT_BLOCK
+    for count, submitted in ((1001, 0), (edge, 0), (edge + 1, 2)):
+        pool.submitted = 0
+        robin_eigen_1d(2.5, 1.2, count)
+        assert pool.submitted == submitted, count
 
 
 def test_robin_roots_for_tiny_beta_and_many_modes():
