@@ -49,7 +49,14 @@ from .bounds import (
     power_sum_closed,
     window_error_bound,
 )
-from .sampler import EmpiricalCov, FieldSample, empirical_cov, sample_ensemble, sample_field
+from .sampler import (
+    EmpiricalCov,
+    FieldSample,
+    empirical_cov,
+    sample_ensemble,
+    sample_field,
+    sample_values,
+)
 
 __version__ = "0.1.0"
 
@@ -96,6 +103,7 @@ __all__ = [
     "robin_eigen_1d",
     "sample_ensemble",
     "sample_field",
+    "sample_values",
     "spectral_tail_bound",
     "unit_matern",
     "window_error_bound",

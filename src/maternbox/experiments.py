@@ -23,7 +23,7 @@ from .bounds import (
 )
 from .folded import cov_folded_gram
 from .matern import MaternParams, derive_params, matern_cov, matern_gram, unit_matern
-from .sampler import empirical_cov, sample_ensemble, sample_field
+from .sampler import empirical_cov, sample_field, sample_values
 from .specfun import bessel_k_quadrature, log_bessel_k
 from .spectral import (
     BoundarySpec,
@@ -278,8 +278,7 @@ def run_sampler_check(cfg: ExperimentConfig) -> Table:
     pts = grid_points(cfg.d, delta, cfg.n_grid)
     # the samples' covariance: the plain truncated sum, not the accelerated one
     analytic = plain_spectral_gram(params, bc, box, pts, trunc)
-    samples = sample_ensemble(params, bc, box, pts, trunc, cfg.seed, cfg.n_samples)
-    emp = empirical_cov(samples)
+    emp = empirical_cov(sample_values(params, bc, box, pts, trunc, cfg.seed, cfg.n_samples))
     cols = ("i", "j", "analytic", "empirical", "abs_diff", "std_error", "within_4se")
     rows = []
     n = pts.shape[0]
@@ -401,8 +400,7 @@ def _verify_checks():
     s1 = sample_field(params1, BoundarySpec.neumann(), box1, pts1, trunc1, 42)
     s2 = sample_field(params1, BoundarySpec.neumann(), box1, pts1, trunc1, 42)
     det = np.array_equal(s1.values, s2.values)
-    ens = sample_ensemble(params1, BoundarySpec.neumann(), box1, pts1, trunc1, 0, 400)
-    emp = empirical_cov(ens)
+    emp = empirical_cov(sample_values(params1, BoundarySpec.neumann(), box1, pts1, trunc1, 0, 400))
     analytic, _ = cov_spectral_gram(params1, BoundarySpec.neumann(), box1, pts1, trunc1)
     dev = float(np.max(np.abs(emp.matrix - analytic) / emp.std_error))
     add("sampler determinism", det, "same seed, identical values")

@@ -152,8 +152,11 @@ class _Tails:
         self.period_min = period_min
         self.seps = np.asarray(seps, dtype=float)
         self.f = float(decay_factor(params.nu, params.kappa, period_min))
-        # per family the last shell j with fl(j * period_min) - sep <= 0, 0 if none
-        dead = np.floor(self.seps / period_min)
+        # per family the last shell j with fl(j * period_min) - sep <= 0, 0 if none;
+        # a shell count past the float range reads the largest float, and the
+        # tails, whose counts of such shells then overflow, inf
+        with np.errstate(over="ignore"):
+            dead = np.floor(np.minimum(self.seps / period_min, np.finfo(float).max))
         dead += (dead + 1.0) * period_min - self.seps <= 0
         dead -= (dead >= 1) & (dead * period_min - self.seps > 0)
         self.dead = dead
@@ -190,12 +193,12 @@ class _Tails:
         r = radii[:, None]
         first, skip = self._skips(radii)
         js = first[..., None] + np.arange(_CLOSURE_SHELLS + 1.0)
-        j_close = r + 1 + _CLOSURE_SHELLS * np.maximum(
-            1.0, np.ceil((first - r - 1) / _CLOSURE_SHELLS))
         cols = skip.astype(int)[..., None] + np.arange(_CLOSURE_SHELLS + 1)
         vals = self.kernel[np.arange(self.seps.size)[:, None], cols]
         # an overflowed count reads inf, and inf - inf or inf * 0 NaN, made inf below
         with np.errstate(over="ignore", invalid="ignore"):
+            j_close = r + 1 + _CLOSURE_SHELLS * np.maximum(
+                1.0, np.ceil((first - r - 1) / _CLOSURE_SHELLS))
             # sum_{j >= J} 2d (3j)^(d-1) f^(j-J) <= 2d (3J)^(d-1) (d-1)! / (1-f)^d
             closure = ((3.0 * j_close) ** (d - 1) * 2.0 * d * math.factorial(d - 1)
                        / (1.0 - self.f) ** d)

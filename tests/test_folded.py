@@ -657,6 +657,20 @@ def test_far_separation_bounds_or_fails_in_every_dimension():
         assert (tail == math.inf) == (d >= 2 and sep >= 1e200), (d, kind, sep, tail)
 
 
+def test_separation_beyond_the_float_range_of_periods_bounds_or_fails():
+    # in a box of length 1e-10 a separation of 1e300 is 5e309 periods, past
+    # the float range: the shells at distance <= 0 alone make the tail inf in
+    # every dimension, and no radius certifies, without a warning
+    for d, kind in product((1, 2, 3), ("periodic", "neumann")):
+        p = derive_params(1.0, 1e-11, 1.0, d)
+        box = BoxDomain.cubic(0.0, 1e-10, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert image_tail_bound(p, box, 3, bc=kind, separation_inf=1e300) == math.inf
+            with pytest.raises(ValueError, match=r"^no radius up to 128 certifies"):
+                pick_radius(p, box, kind, separation_inf=1e300)
+
+
 def test_tail_cost_independent_of_separation(monkeypatch):
     import maternbox.folded as folded
 

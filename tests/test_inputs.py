@@ -15,7 +15,7 @@ from maternbox.folded import (
     pick_radius,
 )
 from maternbox.matern import AnisoMetric, derive_params, matern_cov, matern_cov_aniso, matern_gram
-from maternbox.sampler import sample_ensemble, sample_field
+from maternbox.sampler import sample_ensemble, sample_field, sample_values
 from maternbox.spectral import (
     BoundarySpec,
     BoxDomain,
@@ -48,6 +48,7 @@ SETS = {
     "eigenfunction": lambda pts: eigenpair(NEUMANN, (1,), BOX1, P1.kappa)[1](pts),
     "sample_field": lambda pts: sample_field(P1, NEUMANN, BOX1, pts, TRUNC, 3),
     "sample_ensemble": lambda pts: sample_ensemble(P1, NEUMANN, BOX1, pts, TRUNC, 3, 2),
+    "sample_values": lambda pts: sample_values(P1, NEUMANN, BOX1, pts, TRUNC, 3, 2),
 }
 # entry points taking a pair of points, as functions of the first point (d = 1)
 PAIRS = {

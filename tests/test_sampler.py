@@ -1,5 +1,9 @@
 """Sampler: determinism, exact modal covariance, Monte-Carlo statistics."""
 
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -13,6 +17,7 @@ from maternbox.sampler import (
     empirical_cov,
     sample_ensemble,
     sample_field,
+    sample_values,
 )
 from maternbox.spectral import (
     BoundarySpec,
@@ -224,3 +229,86 @@ def test_integer_seed_and_count_types_agree():
     for n in (0, -3):
         with pytest.raises(ValueError, match=r"^n must be >= 1, got "):
             sample_ensemble(p, bc, box, pts, tr, 7, n)
+
+
+_KINDS = {"D": BoundarySpec.dirichlet(), "N": BoundarySpec.neumann(),
+          "P": BoundarySpec.periodic()}
+
+
+@pytest.mark.parametrize("n", [1, sampler._BLOCK - 1, sampler._BLOCK, sampler._BLOCK + 1])
+@pytest.mark.parametrize("kind", "DNPR")
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_values_are_the_stacked_ensemble_bitwise(block_pool, d, kind, n):
+    p, box, pts, tr = _setup(d=d, n=6 if d == 1 else 3, kmax=40 if d == 1 else 8)
+    bc = BoundarySpec.robin(p.kappa) if kind == "R" else _KINDS[kind]
+    drawn = []
+    for workers in (1, 3):
+        block_pool(workers)
+        values = sample_values(p, bc, box, pts, tr, 900, n)
+        ens = sample_ensemble(p, bc, box, pts, tr, 900, n)
+        assert values.shape == (n, len(pts)) and values.dtype == np.float64
+        assert [s.seed for s in ens] == list(range(900, 900 + n))
+        assert values.tobytes() == np.stack([s.values for s in ens]).tobytes()
+        drawn.append(values.tobytes())
+    assert drawn[0] == drawn[1]
+
+
+def test_empirical_cov_of_values_is_that_of_samples_bitwise():
+    p, box, pts, tr = _setup(n=7, kmax=100)
+    bc = BoundarySpec.neumann()
+    values = sample_values(p, bc, box, pts, tr, 31, 300)
+    from_values = empirical_cov(values)
+    from_samples = empirical_cov(sample_ensemble(p, bc, box, pts, tr, 31, 300))
+    assert from_values.n_samples == from_samples.n_samples == 300
+    assert from_values.matrix.tobytes() == from_samples.matrix.tobytes()
+    assert from_values.std_error.tobytes() == from_samples.std_error.tobytes()
+    for bad in (values[:1], values[0], values[None]):
+        with pytest.raises(ValueError, match=r"at least 2 samples"):
+            empirical_cov(bad)
+
+
+def test_one_thread_at_a_time_runs_the_keying_loop():
+    # a thread that draws waits while another holds the keying lock
+    done = threading.Event()
+
+    def draw():
+        _standard_normals(np.random.Philox(), [1, 2], 4)
+        done.set()
+
+    thread = threading.Thread(target=draw, daemon=True)
+    with sampler._keying:
+        thread.start()
+        assert not done.wait(0.2)
+    assert done.wait(30.0)
+    thread.join(30.0)
+    assert not thread.is_alive()
+
+
+def _draw_in_child(conn):
+    p, box, pts, tr = _setup(n=4, kmax=20)
+    ens = sample_ensemble(p, BoundarySpec.neumann(), box, pts, tr, 5, 3)
+    conn.send(np.stack([s.values for s in ens]))
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+def test_forked_child_draws_while_the_parent_holds_the_keying_lock():
+    # a pool thread may hold the keying lock when the process forks; the
+    # child's copy of it would stay held, and its first draw would hang
+    p, box, pts, tr = _setup(n=4, kmax=20)
+    parent = sample_values(p, BoundarySpec.neumann(), box, pts, tr, 5, 3)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_draw_in_child, args=(send,), daemon=True)
+    with sampler._keying:
+        child.start()
+    send.close()
+    try:
+        assert recv.poll(60.0), "no draws from the child within the timeout: deadlock?"
+        done = recv.recv()
+    finally:
+        child.join(30.0)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive() and child.exitcode == 0
+    assert done.tobytes() == parent.tobytes()
