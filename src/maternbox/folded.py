@@ -411,10 +411,10 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     the certified remainder at that reflection's largest separation, which
     for a single pair is the pair's own remainder.  One ``_Tails`` table
     serves the radius search and the returned tail: the default radius is
-    the smallest this tail certifies below ``tol`` (``pick_radius``'s
-    default when None), or below the default tolerance where no radius up
-    to 128 meets a given ``tol``.  An explicit radius must be an integer
-    >= 0.
+    the smallest this tail certifies below ``tol`` capped at the default
+    tolerance (``pick_radius``'s, and the tolerance itself when None), or
+    below the default tolerance where no radius up to 128 meets that.  An
+    explicit radius must be an integer >= 0.
     """
     d = params.d
     eps, periods = _families(params, box, kind)
@@ -431,7 +431,7 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     tails = _Tails(params, float(periods.min()), seps)
     default = _DEFAULT_TAIL_FACTOR * params.sigma2
     if radius is None:
-        radius = tails.pick(default if tol is None else tol, default)
+        radius = tails.pick(default if tol is None else min(tol, default), default)
     n_images = (2 * radius + 1) ** d
     if n_images > _CHUNK_IMAGES:
         raise ValueError(f"radius {radius} needs {n_images} images per row, above the "

@@ -52,8 +52,8 @@ class MaternParams:
 def derive_params(sigma2: float, rho: float, nu: float, d: int) -> MaternParams:
     """Populate MaternParams from the three kernel parameters and dimension."""
     sigma2, rho, nu = float(sigma2), float(rho), float(nu)
-    if not (sigma2 > 0 and rho > 0 and nu > 0):
-        raise ValueError(f"sigma2, rho, nu must be positive, got {(sigma2, rho, nu)}")
+    if not all(0 < v < math.inf for v in (sigma2, rho, nu)):
+        raise ValueError(f"sigma2, rho, nu must be finite and positive, got {(sigma2, rho, nu)}")
     if d not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {d!r}")
     kappa = math.sqrt(2.0 * nu) / rho

@@ -36,14 +36,13 @@ columns, not kmax times the pairs.
 Periodic complex exponentials are realized as real cosine/sine pairs with
 matching normalization, so all arithmetic stays real.
 
-Robin roots n >= 12 come from vectorized Newton steps, in blocks of roots
-on the pool; each is read off as the adjacent-float bracket that bisection
-to its fixed point ends at, so the roots are bit for bit the bisection's
-(see ``robin_eigen_1d``).  Each block returns its roots finished, and the
-roots n < 12 are one more block of the same function, run in the caller.
-Where a bracket shows no computed sign change (tiny or huge beta L),
-Newton's root stands in if it passes a residual check.  Points
-(``matern.as_points``) must lie in the closed box.
+Each Robin root is one secant step in the bracket at which bisection to
+its own fixed point stops, so it depends on beta L and its index alone
+(``robin_eigen_1d``).  Blocks of roots on the pool read that bracket off
+next to Newton roots and bisect only their misses; the roots n < 12 are one
+more such block, run in the caller.  Where a bracket shows no computed sign
+change (tiny or huge beta L), Newton's root stands in if it passes a
+residual check.  Points (``matern.as_points``) must lie in the closed box.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from itertools import product
 import numpy as np
 
 from ._blocks import _map_blocks
-from .folded import _DEFAULT_TAIL_FACTOR, _gram
+from .folded import _gram
 from .matern import MaternParams, as_points, check_dimension
 from .specfun import ConvergenceError
 
@@ -232,7 +231,10 @@ _ROOT_BLOCK = 2 ** 14
 
 
 def _robin_bisect(lo, hi, flo, fhi, c: float):
-    """Bisect the brackets to the loop's fixed point; returns them updated."""
+    """Bisect each bracket to its own fixed point, in at most 90 steps; returns them updated.
+
+    A bracket at its fixed point stays there, so each ends as it would alone.
+    """
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         fm = _robin_residual(mid, c)
@@ -240,12 +242,10 @@ def _robin_bisect(lo, hi, flo, fhi, c: float):
         new_lo = np.where(move_lo, mid, lo)
         new_hi = np.where(move_lo, hi, mid)
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break  # no bracket moved: a fixed point from here on
+            break  # every bracket at its fixed point
         lo, hi = new_lo, new_hi
         flo = np.where(move_lo, fm, flo)
         fhi = np.where(move_lo, fhi, fm)
-        if np.max(hi - lo) <= 1e-15 * np.min(hi):
-            break
     return lo, hi, flo, fhi
 
 
@@ -326,41 +326,33 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     residual is sin(a - 2 arctan(c / a)), so root n lies in ((n-1) pi, n pi)
     and solves a = (n-1) pi + 2 arctan(c / a).
 
-    The roots are those of a bisection of each bracket
-    (fl((n-1) pi), fl(n pi)) run to its fixed point, polished by one secant
-    step.  The bisection keeps the sign of the computed residual at the
-    lower end equal to its sign at fl((n-1) pi), and at the upper end
-    different; it never collapses a bracket, so it stops at an adjacent pair
-    of floats with that sign pattern.  For n >= 12 the bracket lies above
-    32 and that pair is unique: near the root the residual's slope is at
-    least 1 and its rounding error a few 2^-52, while one ulp of a is at
-    least 2^-47, so the computed residual changes sign exactly once among
-    the floats of the bracket, and every bisection path ends at the same
-    pair.  These roots are found by Newton's method instead
-    (``_robin_newton``), and the adjacent floats around the computed sign
-    change are taken as the final bracket when their signs match the
+    Root n is one secant step (``_robin_secant``) in the bracket at which
+    bisection of (fl((n-1) pi), fl(n pi)) stops, at its own fixed point or
+    after 90 steps, so it depends on c and n alone.  The bisection keeps the
+    computed residual's sign at the lower end equal to its sign at
+    fl((n-1) pi), and at the upper end different, so it stops at an adjacent
+    pair of floats with that sign pattern (root 1 at tiny c at the step
+    cap).  For n >= 12 the bracket lies above 32 and that pair is unique:
+    near the root the residual's slope is at least 1 and its rounding error
+    a few 2^-52, while one ulp of a is at least 2^-47, so the computed
+    residual changes sign once among the floats of the bracket.  Newton's
+    method (``_robin_newton``) finds the pair there: the adjacent floats
+    around its computed sign change are taken where their signs match the
     pattern and both lie strictly inside the bracket
-    (``_robin_adjacent_brackets``).  Roots and norms are therefore bit for
-    bit the bisection's.  Roots n < 12, and roots whose pair fails the check,
-    run through the bisection loop on that subset alone.  From count 7 on
-    the loop's relative-width stop never fires (every final width is at
-    least ulp(6 pi) = 3.6e-15 > 1e-15 pi), so each root still reaches its
-    own fixed point, and root 1 at tiny c its 90-step cap.  One block
-    function serves the head (roots n < 12, run in the caller) and the
-    blocks of ``_ROOT_BLOCK`` roots n >= 12 (on the block pool,
-    ``_blocks._map_blocks``): each forms its own brackets, finishes its
-    roots by the secant step (``_robin_secant``) and returns them with its
-    misses, which the caller settles.  Every step is elementwise, so each
-    root has the bits it has on one thread.
+    (``_robin_adjacent_brackets``); only the other roots, the misses, are
+    bisected.  One block function returns the finished roots of the head
+    (n < 12, all misses, run in the caller) and of each block of
+    ``_ROOT_BLOCK`` roots n >= 12 (on the block pool), and every step is
+    elementwise, so a root has the same bits in any block, count or thread.
 
     At tiny c a root can lie within rounding of fl((n-1) pi), and at huge c
     (beta ell >~ 1e17) within rounding of fl(n pi), where the computed
     residual then has the wrong sign, so some bracket shows no sign change
-    and the bisection has no answer.  Such a bracket n < 12, and then every
-    root n >= 12 whose pair fails the check, takes Newton's root (from
+    and the bisection has no answer.  Then every miss of n >= 12, and every
+    root of a head with such a bracket, takes Newton's root (from
     fl((n-1) pi), 0 for n = 1), provided its residual is at most
     max(1e-12, 2 ulp(a)), which a correctly rounded root meets; otherwise
-    ``ConvergenceError`` is raised.
+    ``ConvergenceError`` is raised, as it is where (h ell)^2 overflows.
 
     Norms come from the closed form ||u_n||^2 = ell/2 (1 + (h/w)^2) + h/w^2,
     validated elsewhere against quadrature.
@@ -375,12 +367,12 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     count, c = int(count), h * ell_axis
 
     def block(first):
-        """The roots of the head (first = 0) or of the root block from ``first``.
+        """The finished roots of the head (first = 0) or of the root block from ``first``.
 
-        Returns None where a residual at the bracket ends is not finite, else
-        (any bracket without a sign change, the roots, and the misses: their
-        indices, Newton roots, lo, hi, flo and fhi).  The head takes Newton
-        roots only where it has such a bracket (at tiny c they divide by zero).
+        Returns (whether a bracket shows no sign change, the roots, the
+        indices of the misses and their Newton roots).  With such a bracket
+        the misses are left unbisected, as Newton's roots stand in for them;
+        the head takes Newton roots only then (at tiny c they divide by zero).
         """
         stop = min(first + _ROOT_BLOCK, count) if first else min(count, _NEWTON_FROM)
         # bracket n runs from fl(n pi) (the head's first just above 0) to fl((n + 1) pi)
@@ -388,40 +380,36 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
         ends *= math.pi
         if not first:
             ends[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
-        with np.errstate(over="ignore", invalid="ignore"):  # None reports it
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
             f_ends = _robin_residual(ends, c)
         if not np.all(np.isfinite(f_ends)):
-            return None
-        # lo apart from hi: the adjacent floats are written into both in place
-        lo, hi, flo, fhi = ends[:-1].copy(), ends[1:], f_ends[:-1].copy(), f_ends[1:]
+            # (h ell)^2 overflows: NaN signs would slip past the bracket check
+            raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
+        # lo and flo copied apart from hi and fhi: each is written in place
+        brackets = lo, hi, flo, fhi = ends[:-1].copy(), ends[1:], f_ends[:-1].copy(), f_ends[1:]
         bad = np.any(np.sign(flo) == np.sign(fhi))
         n = np.arange(first, stop)
         newton = _robin_newton(n * math.pi, c, n % 2 == 1) if first or bad else None
-        miss = ~_robin_adjacent_brackets(newton, lo, hi, flo, fhi, c) if first else slice(None)
-        return (bad, _robin_secant(lo, hi, flo, fhi), n[miss],
-                None if newton is None else newton[miss], lo[miss], hi[miss], flo[miss], fhi[miss])
+        # in the head, whose roots all miss, n is each root's own index
+        miss = np.flatnonzero(~_robin_adjacent_brackets(newton, *brackets, c)) if first else n
+        if not bad:  # else Newton's roots stand in for every miss
+            for part, settled in zip(brackets, _robin_bisect(*(b[miss] for b in brackets), c)):
+                part[miss] = settled
+        return bad, _robin_secant(*brackets), n[miss], None if newton is None else newton[miss]
 
-    blocks = [block(0), *_map_blocks(block, range(_NEWTON_FROM, count, _ROOT_BLOCK))]
-    if any(b is None for b in blocks):
-        # (h ell)^2 overflows: NaN signs would slip past the bracket check
-        raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
+    # the root blocks on the pool, then the head in the caller
+    blocks = list(_map_blocks(block, range(_NEWTON_FROM, count, _ROOT_BLOCK)))
+    blocks.insert(0, block(0))
     alphas = np.concatenate([b[1] for b in blocks])
-    # Newton roots kept as they are where any bracket shows no sign change;
-    # the head has them only where one of its own brackets shows none
-    bad = any(b[0] for b in blocks)
-    kept = [b[2:4] for b in blocks if bad and b[3] is not None]
-    slow = [b[2:3] + b[4:] for b in blocks if not (bad and b[3] is not None)]
-    if kept:
-        idx, roots = (np.concatenate(part) for part in zip(*kept))
+    if any(b[0] for b in blocks):  # Newton roots stand in for the misses
+        idx, roots = (np.concatenate(part) for part in zip(*(b[2:] for b in blocks
+                                                               if b[3] is not None)))
         fail = ~(np.abs(_robin_residual(roots, c)) <= np.maximum(1e-12, 2.0 * np.spacing(roots)))
         if np.any(fail):
             i = int(idx[np.argmax(fail)])
             raise ConvergenceError(f"no sign change in Robin bracket (({i} pi, {i + 1} pi)) "
                                    f"for h*ell = {c}")
         alphas[idx] = roots
-    if slow:
-        idx, *brackets = (np.concatenate(part) for part in zip(*slow))
-        alphas[idx] = _robin_secant(*_robin_bisect(*brackets, c))
     omegas = alphas / ell_axis
     norms = ell_axis / 2.0 * (1.0 + (h / omegas) ** 2) + h / omegas ** 2
     return RobinEigen1D(h=h, ell_axis=ell_axis, alphas=alphas, norms=norms)
@@ -532,7 +520,9 @@ def eigenpair(bc: BoundarySpec, k, box: BoxDomain, kappa: float):
     frequency |j|.  Each axis factor is one row of the per-axis mode table
     that the modal sums use.
     """
-    kt = tuple(int(v) for v in np.atleast_1d(k))
+    kt = tuple(np.atleast_1d(k).tolist())
+    if not all(isinstance(v, numbers.Integral) for v in kt):
+        raise ValueError(f"multi-index entries must be integers, got {kt}")
     if len(kt) != box.d:
         raise ValueError(f"multi-index must have {box.d} entries, got {kt}")
     mu_total = 0.0
@@ -784,20 +774,6 @@ def _robin_neumann_remainder(params: MaternParams, beta: float, L: float,
     return total
 
 
-def _neumann_images(params: MaternParams, box: BoxDomain, pts: np.ndarray, rest: float):
-    """The folded Neumann Gram of the d = 1 Robin route and its tail, or (None, inf).
-
-    Its image radius is the smallest whose tail meets rest, the Robin
-    remainder, or the default 1e-8 sigma^2 where that is smaller; where no
-    radius up to 128 meets rest, the default radius.
-    """
-    try:
-        return _gram(params, box, "neumann", pts,
-                     tol=min(rest, _DEFAULT_TAIL_FACTOR * params.sigma2))
-    except ValueError:  # no image radius certifies the Neumann sum
-        return None, math.inf
-
-
 def cov_spectral_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
                       points, trunc: TruncationSpec):
     """Modal covariance between all point pairs, with a certified tail.
@@ -817,7 +793,7 @@ def cov_spectral_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     of the plain kmax^(1 - 2 alpha).  Of the two routes the one with the
     smaller tail is returned.  The Neumann image radius is the smallest
     whose folded remainder meets the Robin remainder where that is below
-    1e-8 sigma^2 (``_neumann_images``), so the accelerated tail keeps
+    1e-8 sigma^2 (``folded._gram``'s ``tol``), so the accelerated tail keeps
     falling past the default image tolerance; where no radius up to 128
     brings the folded remainder down to the Robin remainder, the default
     radius is kept.  The plain sum wins where beta L is far above kmax pi
@@ -836,7 +812,10 @@ def cov_spectral_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     if bc.kind == "robin" and box.d == 1:
         rest = _robin_neumann_remainder(params, bc.beta, box.lengths[0], kmax)
         if rest < tail:
-            fold, fold_tail = _neumann_images(params, box, pts, rest)
+            try:  # the Neumann image radius for rest, capped at the default tolerance
+                fold, fold_tail = _gram(params, box, "neumann", pts, tol=rest)
+            except ValueError:  # no image radius certifies the Neumann sum
+                fold, fold_tail = None, math.inf
             if fold_tail + rest < tail:
                 diff = gram - _plain_gram(params, BoundarySpec.neumann(), box, pts, kmax)
                 return fold + diff, fold_tail + rest

@@ -151,3 +151,30 @@ def test_integer_radius_types_agree():
     got = cov_folded_gram(P1, BOX1, "neumann", pts, np.int64(3))
     assert np.array_equal(ref[0], got[0]) and ref[1] == got[1]
     assert cov_folded(P1, BOX1, "neumann", [0.3], [0.7], np.int32(0)).radius == 0
+
+
+@pytest.mark.parametrize("bc,k", [(NEUMANN, (1.7,)), (ROBIN, (1.7,)), (ROBIN, (2.0,)),
+                                  (BoundarySpec.periodic(), np.array([-1.5])),
+                                  (NEUMANN, ("1",))])
+def test_eigenpair_index_must_be_integer(bc, k):
+    # a fractional index was truncated: (1.7,) gave mode 1 under a valid-looking pair
+    with pytest.raises(ValueError, match="must be integers"):
+        eigenpair(bc, k, BOX1, P1.kappa)
+
+
+def test_eigenpair_integer_index_types_agree():
+    for bc in (NEUMANN, ROBIN):
+        lam, w = eigenpair(bc, (2,), BOX1, P1.kappa)
+        for k in (2, np.int64(2), np.array([2], dtype=np.int32)):
+            lam_k, w_k = eigenpair(bc, k, BOX1, P1.kappa)
+            assert lam_k == lam and w_k([0.3]) == w([0.3])
+
+
+@pytest.mark.parametrize("bad", [(math.inf, 0.1, 1.0), (1.0, math.inf, 1.0), (1.0, 0.1, math.inf),
+                                 (math.nan, 0.1, 1.0), (1.0, -math.inf, 1.0), (1.0, 0.1, 0.0)])
+def test_derive_params_needs_finite_positive_values(bad):
+    # sigma2 = inf gave inf folded Grams and tails, rho = inf a math domain error
+    shown = ", ".join(map(repr, bad))
+    with pytest.raises(ValueError, match=rf"^sigma2, rho, nu must be finite and positive, "
+                                         rf"got \({shown}\)$"):
+        derive_params(*bad, 1)

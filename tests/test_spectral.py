@@ -204,7 +204,8 @@ def test_robin_roots_bracketing_and_residuals():
 
 
 def _bisection_reference(h, ell, count):
-    """Bisection-only Robin roots: what the Newton roots must equal bit for bit."""
+    """Bisection-only Robin roots, each bracket to its fixed point or 90 steps:
+    what the roots must equal bit for bit at any count."""
     c = h * ell
     n = np.arange(1, count + 1, dtype=float)
     lo = (n - 1.0) * math.pi
@@ -223,8 +224,6 @@ def _bisection_reference(h, ell, count):
         lo, hi = new_lo, new_hi
         flo = np.where(move_lo, fm, flo)
         fhi = np.where(move_lo, fhi, fm)
-        if np.max(hi - lo) <= 1e-15 * np.min(hi):
-            break
     denom = fhi - flo
     secant = np.where(denom != 0.0, lo - flo * (hi - lo) / np.where(denom == 0, 1.0, denom),
                       0.5 * (lo + hi))
@@ -257,10 +256,14 @@ def test_robin_roots_bitwise_equal_bisection(monkeypatch):
         alphas, norms = _bisection_reference(bl / ell, ell, count)
         assert np.array_equal(eig.alphas, alphas), (bl, count)
         assert np.array_equal(eig.norms, norms), (bl, count)
+        # each block bisects its own misses: the head's roots n < 12 and, with
+        # the roots n >= 12 all by Newton, none of the root blocks' roots
+        head = min(count, spectral._NEWTON_FROM)
+        assert len(bisected) == 1 + len(range(head, count, spectral._ROOT_BLOCK))
         if (bl, count) in partial:
-            assert bisected[0] > 11, (bl, count, bisected)
-        else:  # n >= 12 all by Newton
-            assert bisected == [min(count, 11)], (bl, count, bisected)
+            assert sum(bisected) > head, (bl, count, bisected)
+        else:
+            assert sum(bisected) == head, (bl, count, bisected)
 
 
 def test_robin_roots_off_their_pair_are_bisected(monkeypatch):
@@ -278,6 +281,35 @@ def test_robin_roots_off_their_pair_are_bisected(monkeypatch):
         alphas, norms = _bisection_reference(bl / 1.2, 1.2, count)
         assert np.array_equal(eig.alphas, alphas), (bl, count)
         assert np.array_equal(eig.norms, norms), (bl, count)
+
+
+def test_robin_roots_do_not_depend_on_count():
+    # each bracket ends at its own fixed point whatever else is bisected, so
+    # a short solve gives the first roots of a long one, bit for bit
+    ell = 1.2
+    for bl in np.geomspace(1e-8, 1e8, 41):
+        full = robin_eigen_1d(bl / ell, ell, 16400)
+        for count in range(1, 14):
+            eig = robin_eigen_1d(bl / ell, ell, count)
+            assert np.array_equal(eig.alphas, full.alphas[:count]), (bl, count)
+            assert np.array_equal(eig.norms, full.norms[:count]), (bl, count)
+
+
+def test_eigenpair_robin_rows_match_mode_system():
+    # each axis factor of eigenpair is one row of the mode table that the
+    # modal sums use, bit for bit, however few modes it asks for
+    for d, kmax in ((1, 20), (2, 8)):
+        p = derive_params(1.0, 0.3, 1.5, d)
+        box = BoxDomain.cubic(0.2, 1.0, d)
+        pts = np.random.default_rng(d).uniform(0.0, box.lengths[0], (9, d))
+        for beta in np.geomspace(1e-3, 1e3, 17 if d == 1 else 5):
+            bc = BoundarySpec.robin(beta)
+            lam, W = mode_system(p, bc, box, pts, TruncationSpec(kmax))
+            for k in product(range(1, 7), repeat=d):
+                row = np.ravel_multi_index(np.subtract(k, 1), (kmax + 1,) * d)
+                lam_k, w = eigenpair(bc, k, box, p.kappa)
+                assert lam_k == lam[row], (beta, k)
+                assert np.array_equal(w(pts), W[row]), (beta, k)
 
 
 def _check_newton_stand_ins(bl, count):
@@ -325,6 +357,21 @@ def test_robin_head_runs_in_the_caller(block_pool):
         pool.submitted = 0
         robin_eigen_1d(2.5, 1.2, count)
         assert pool.submitted == submitted, count
+
+
+def test_robin_root_block_error_leaves_no_queued_work(block_pool, monkeypatch):
+    # (beta L)^2 overflows: the first root block raises on the pool, the error
+    # reaches the caller, and the blocks not yet started are cancelled
+    pool = block_pool(3)
+    futures = []
+    submit = pool.submit
+    monkeypatch.setattr(pool, "submit", lambda *args: futures.append(submit(*args)) or futures[-1])
+    count = spectral._NEWTON_FROM + 6 * spectral._ROOT_BLOCK
+    with pytest.raises(ConvergenceError, match="not finite") as err:
+        robin_eigen_1d(1e155 / 1.2, 1.2, count)
+    assert any(entry.name == "_run_block" for entry in err.traceback)
+    assert all(f.done() or f.running() for f in futures)
+    assert len(futures) == 4  # three workers' blocks and the one queued behind the first
 
 
 def test_robin_roots_for_tiny_beta_and_many_modes():
