@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .matern import AnisoMetric, MaternParams, decay_factor, unit_matern
+from .matern import AnisoMetric, MaternParams, as_integer, as_real, decay_factor, unit_matern
 from .spectral import BoxDomain
 
 __all__ = [
@@ -45,27 +44,23 @@ __all__ = [
 _LATTICE_REL_TOL = 1e-8
 
 
-@lru_cache(maxsize=None)
 def eulerian_number(n: int, k: int) -> int:
-    """Eulerian number A(n, k): permutations of n with k ascents (exact)."""
-    if n < 0 or k < 0:
-        raise ValueError("eulerian_number needs n >= 0 and k >= 0")
+    """Eulerian number A(n, k): permutations of n with k ascents (exact).
+
+    The explicit alternating sum sum_{j=0}^{k} (-1)^j C(n+1, j) (k+1-j)^n in
+    exact integers, with no recursion, so any n returns.
+    """
+    n, k = as_integer(n, "n", 0), as_integer(k, "k", 0)
     if k > max(n - 1, 0):
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    if n == 1:
-        return 1 if k == 0 else 0
-    lower = eulerian_number(n - 1, k - 1) if k >= 1 else 0
-    return (k + 1) * eulerian_number(n - 1, k) + (n - k) * lower
+    return sum((-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1))
 
 
 def polylog_partial(s: float, z: float, terms: int) -> float:
     """Partial sum of the polylogarithm, sum_{k=1}^{terms} k^(-s) z^k."""
     if not abs(z) < 1.0:
         raise ValueError(f"polylog partial sums need |z| < 1, got {z!r}")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    terms = as_integer(terms, "terms", 1)
     k = np.arange(1, terms + 1, dtype=float)
     vals = k ** (-float(s)) * z ** k
     return math.fsum(vals.tolist())
@@ -77,8 +72,7 @@ def power_sum_closed(d: int, z: float) -> float:
     Equals (sum_j A(d-1, j) z^(d-2-j)) / (1-z)^d for d >= 2 and 1/(1-z) for
     d = 1; bounded by (d-1)!/(1-z)^d.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = as_integer(d, "d", 1)
     if not abs(z) < 1.0:
         raise ValueError(f"geometric closed form needs |z| < 1, got {z!r}")
     if d == 1:
@@ -152,8 +146,7 @@ def lattice_kernel_sum(params: MaternParams, lengths):
 
 def _lattice_bounds(params: MaternParams, delta: float, box: BoxDomain):
     """(lattice, dirichlet) error bounds from one lattice kernel sum."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    delta = as_real(delta, "delta", zero=True)
     d = params.d
     s, rem = lattice_kernel_sum(params, box.lengths)
     c_delta = float(_kernel_radial(params, delta))
@@ -183,16 +176,13 @@ def window_error_bound(params: MaternParams, delta: float, ell: float) -> BoundR
     with lengths delta + ell is implied for the lattice columns of the
     report.  delta = 0 is allowed and gives the finite value A * sigma^2.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if not ell > 0:
-        raise ValueError("ell must be > 0")
+    delta, ell = as_real(delta, "delta", zero=True), as_real(ell, "ell")
     d = params.d
     f_ell = float(decay_factor(params.nu, params.kappa, ell))
     prefactor = _closed_form_prefactor(d, f_ell)
     window = prefactor * params.sigma2 * float(unit_matern(params.nu, params.kappa * delta))
     lattice, dirich = _lattice_bounds(params, delta, BoxDomain.cubic(delta, ell, d))
-    return BoundReport(delta=float(delta), ell=float(ell), prefactor=prefactor,
+    return BoundReport(delta=delta, ell=ell, prefactor=prefactor,
                        decay_ell=f_ell, lattice_bound=lattice,
                        window_bound=window, dirichlet_bound=dirich)
 
@@ -207,11 +197,9 @@ def aniso_error_bound(sigma2: float, nu: float, metric: AnisoMetric,
     """
     if d != metric.d:
         raise ValueError(f"dimension mismatch: d={d}, metric is {metric.d}-dimensional")
-    if not (sigma2 > 0 and nu > 0):
-        raise ValueError("sigma2 and nu must be positive")
-    if delta < 0 or not ell > 0:
-        raise ValueError("need delta >= 0 and ell > 0")
+    sigma2, nu = as_real(sigma2, "sigma2"), as_real(nu, "nu")
+    delta, ell = as_real(delta, "delta", zero=True), as_real(ell, "ell")
     kappa_eff = math.sqrt(2.0 * nu) / metric.scale_max
     f_ell = float(decay_factor(nu, kappa_eff, ell))
     prefactor = _closed_form_prefactor(d, f_ell)
-    return prefactor * float(sigma2) * float(unit_matern(nu, kappa_eff * delta))
+    return prefactor * sigma2 * float(unit_matern(nu, kappa_eff * delta))

@@ -37,7 +37,6 @@ periods.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
@@ -45,8 +44,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._blocks import _block_pool, _map_blocks
-from .matern import (MaternParams, _unit_matern, as_points, check_dimension, decay_factor,
-                     unit_matern)
+from .matern import (MaternParams, _unit_matern, as_integer, as_points, check_dimension,
+                     decay_factor, unit_matern)
 
 if TYPE_CHECKING:
     from .spectral import BoxDomain
@@ -241,13 +240,6 @@ class _Tails:
         return backup
 
 
-def _check_radius(radius, least: int) -> int:
-    """``radius`` as an int if it is an integer >= ``least``, else ``ValueError``."""
-    if not isinstance(radius, numbers.Integral) or isinstance(radius, bool) or radius < least:
-        raise ValueError(f"radius must be an integer >= {least}, got {radius!r}")
-    return int(radius)
-
-
 def _family_tails(params: MaternParams, box: BoxDomain, bc: str, separation_inf) -> _Tails:
     """Tails at one separation per reflection family, or one for all; None: the largest period."""
     families, periods = _families(params, box, bc)
@@ -269,7 +261,7 @@ def image_tail_bound(params: MaternParams, box: BoxDomain, radius: int, *,
     coincident points.  Periodic folding has the box lengths as periods,
     Neumann/Dirichlet the 2^d reflection families with doubled periods.
     """
-    return _family_tails(params, box, bc, separation_inf)(_check_radius(radius, 1))
+    return _family_tails(params, box, bc, separation_inf)(as_integer(radius, "radius", 1))
 
 
 def pick_radius(params: MaternParams, box: BoxDomain, bc: str = "periodic", *,
@@ -419,7 +411,7 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     d = params.d
     eps, periods = _families(params, box, kind)
     if radius is not None:
-        radius = _check_radius(radius, 0)
+        radius = as_integer(radius, "radius", 0)
     i, j = (np.asarray(idx, dtype=int) for idx in pairs)
     with np.errstate(over="ignore"):  # an overflow reads inf, refused below
         u = np.abs(pts[i] - eps[:, None, :] * pts[j])  # (families, pairs, d)

@@ -6,11 +6,15 @@ Everything funnels through a log-space evaluation of M_nu so that large
 smoothness orders (nu = 50 and beyond) neither overflow nor lose digits.
 Every entry point that takes points reads them through ``as_points``, and
 every one that takes a kernel and a box matches them by ``check_dimension``.
+Every integer argument (radius, kmax, count, index, seed, ...) is read by
+``as_integer``, and every real one (sigma2, nu, delta, ell, beta, ...) by
+``as_real``: both refuse bools and name the argument in their ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +73,7 @@ def unit_matern(nu: float, t):
 
     Returns values in (0, 1]; underflows cleanly to 0.0 for huge t.
     """
-    nu = float(nu)
-    if not nu > 0:
-        raise ValueError(f"smoothness must be positive, got {nu!r}")
+    nu = as_real(nu, "nu")
     ta = np.asarray(t, dtype=float)
     squeeze = ta.ndim == 0
     ta = np.atleast_1d(ta)
@@ -95,6 +97,29 @@ def _unit_matern(nu: float, ta: np.ndarray, log_k=_log_bessel_k) -> np.ndarray:
         # the exact value never exceeds 1; shave off rounding in the exponent
         out[pos] = np.exp(np.minimum(logm, 0.0))
     return out
+
+
+def as_integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int if it is an integer (numpy's included, bools not)
+    of at least ``least``, else ``ValueError`` naming it."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name: str, zero: bool = False) -> float:
+    """``value`` as a float if ``float`` takes it and it is finite and > 0
+    (>= 0 with ``zero``), bools not, else ``ValueError`` naming it."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(x) and (x > 0 or zero and x == 0)):
+        bound = ">= 0" if zero else "> 0"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+    return x
 
 
 def as_points(points, d: int, n: int | None = None, name: str = "points") -> np.ndarray:
@@ -185,11 +210,10 @@ class AnisoMetric:
 
 def matern_cov_aniso(sigma2: float, nu: float, metric: AnisoMetric, x, y) -> float:
     """Anisotropic covariance sigma^2 M_nu(sqrt(2 nu) ||x - y||_{Theta^-1})."""
-    if not (sigma2 > 0 and nu > 0):
-        raise ValueError("sigma2 and nu must be positive")
+    sigma2, nu = as_real(sigma2, "sigma2"), as_real(nu, "nu")
     dx = as_points(x, metric.d, 1, "x")[0] - as_points(y, metric.d, 1, "y")[0]
     t = math.sqrt(2.0 * nu) * metric.metric_distance(dx)
-    return float(sigma2) * unit_matern(nu, t)
+    return sigma2 * unit_matern(nu, t)
 
 
 def decay_factor(nu: float, kappa: float, x) -> float:

@@ -26,7 +26,6 @@ the closed box.
 
 from __future__ import annotations
 
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blocks import _map_blocks
-from .matern import MaternParams, as_points
+from .matern import MaternParams, as_integer, as_points
 from .spectral import _BLOCK_VALUES, BoundarySpec, BoxDomain, TruncationSpec, mode_system
 
 __all__ = ["EmpiricalCov", "FieldSample", "empirical_cov", "sample_ensemble", "sample_field",
@@ -130,12 +129,7 @@ def sample_values(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     generator re-keyed per seed; row i is bit for bit
     (coef * normals(seed + i)) @ modes of that draw alone.
     """
-    for name, value in (("seed", seed), ("n", n)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    seed, n = int(seed), int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    seed, n = as_integer(seed, "seed"), as_integer(n, "n", 1)
     if not (0 <= seed and seed + n <= 2 ** 128):
         raise ValueError("key must be positive and less than 2**128.")
     lam, modes = mode_system(params, bc, box, grid, trunc)

@@ -48,7 +48,6 @@ residual check.  Points (``matern.as_points``) must lie in the closed box.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -57,7 +56,7 @@ import numpy as np
 
 from ._blocks import _map_blocks
 from .folded import _gram
-from .matern import MaternParams, as_points, check_dimension
+from .matern import MaternParams, as_integer, as_points, as_real, check_dimension
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -95,30 +94,24 @@ class BoxDomain:
     d: int
 
     def __post_init__(self):
-        if not (self.delta >= 0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be >= 0, got {self.delta!r}")
-        if not (self.ell > 0 and math.isfinite(self.ell)):
-            raise ValueError(f"ell must be > 0, got {self.ell!r}")
+        delta, ell = as_real(self.delta, "delta", zero=True), as_real(self.ell, "ell")
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d!r}")
-        lengths = tuple(float(v) for v in self.lengths)
+        lengths = tuple(as_real(v, f"lengths[{i}]") for i, v in enumerate(self.lengths))
         if len(lengths) != self.d:
             raise ValueError("lengths must have one entry per axis")
         for L in lengths:
-            if not (L > 0 and math.isfinite(L)):
-                raise ValueError(f"box lengths must be positive, got {L!r}")
-            if L + 1e-12 < self.delta + self.ell:
+            if L + 1e-12 < delta + ell:
                 raise ValueError(
-                    f"axis length {L} cannot hold the domain plus margin "
-                    f"{self.delta + self.ell}")
+                    f"axis length {L} cannot hold the domain plus margin {delta + ell}")
         object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "ell", float(self.ell))
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "ell", ell)
 
     @classmethod
     def cubic(cls, delta: float, ell: float, d: int) -> "BoxDomain":
-        return cls(delta=float(delta), ell=float(ell),
-                   lengths=(float(delta) + float(ell),) * int(d), d=int(d))
+        delta, ell = as_real(delta, "delta", zero=True), as_real(ell, "ell")
+        return cls(delta=delta, ell=ell, lengths=(delta + ell,) * int(d), d=int(d))
 
     @property
     def length_max(self) -> float:
@@ -144,8 +137,7 @@ class BoundarySpec:
             raise ValueError(f"unknown boundary kind {self.kind!r}, "
                              f"expected one of {_BC_KINDS}")
         if self.kind == "robin":
-            if self.beta is None or not (self.beta > 0 and math.isfinite(self.beta)):
-                raise ValueError("robin boundary requires a coefficient beta > 0")
+            object.__setattr__(self, "beta", as_real(self.beta, "beta"))
         elif self.beta is not None:
             raise ValueError(f"beta is only meaningful for robin, got kind={self.kind!r}")
 
@@ -163,7 +155,7 @@ class BoundarySpec:
 
     @classmethod
     def robin(cls, beta: float) -> "BoundarySpec":
-        return cls("robin", float(beta))
+        return cls("robin", beta)
 
 
 @dataclass(frozen=True)
@@ -173,14 +165,11 @@ class TruncationSpec:
     kmax: int
 
     def __post_init__(self):
-        if not isinstance(self.kmax, (int, np.integer)) or self.kmax < 0:
-            raise ValueError(f"kmax must be a nonnegative integer, got {self.kmax!r}")
-        object.__setattr__(self, "kmax", int(self.kmax))
+        object.__setattr__(self, "kmax", as_integer(self.kmax, "kmax", 0))
 
     @classmethod
     def from_resolution(cls, h: float, L: float) -> "TruncationSpec":
-        if not (h > 0 and L > 0):
-            raise ValueError("resolution rule needs h > 0 and L > 0")
+        h, L = as_real(h, "h"), as_real(L, "L")
         return cls(kmax=int(math.ceil(L / h)) + 1)
 
 
@@ -357,14 +346,8 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     Norms come from the closed form ||u_n||^2 = ell/2 (1 + (h/w)^2) + h/w^2,
     validated elsewhere against quadrature.
     """
-    h, ell_axis = float(h), float(ell_axis)
-    if not (h > 0 and ell_axis > 0):
-        raise ValueError("robin_eigen_1d needs h > 0 and ell_axis > 0")
-    if not isinstance(count, numbers.Integral):
-        raise ValueError(f"count must be an integer, got {count!r}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    count, c = int(count), h * ell_axis
+    h, ell_axis = as_real(h, "h"), as_real(ell_axis, "ell_axis")
+    count, c = as_integer(count, "count", 1), h * ell_axis
 
     def block(first):
         """The finished roots of the head (first = 0) or of the root block from ``first``.
@@ -520,28 +503,25 @@ def eigenpair(bc: BoundarySpec, k, box: BoxDomain, kappa: float):
     frequency |j|.  Each axis factor is one row of the per-axis mode table
     that the modal sums use.
     """
-    kt = tuple(np.atleast_1d(k).tolist())
-    if not all(isinstance(v, numbers.Integral) for v in kt):
-        raise ValueError(f"multi-index entries must be integers, got {kt}")
+    kt = tuple(np.atleast_1d(np.asarray(k, dtype=object)))  # each entry of its own type
     if len(kt) != box.d:
         raise ValueError(f"multi-index must have {box.d} entries, got {kt}")
+    kappa = as_real(kappa, "kappa")
+    least = {"neumann": 0, "periodic": None}.get(bc.kind, 1)
     mu_total = 0.0
     rows = []
-    for ki, L in zip(kt, box.lengths):
+    for i, L in enumerate(box.lengths):
+        ki = as_integer(kt[i], f"k[{i}]", least)
         if bc.kind == "neumann":
-            if ki < 0:
-                raise ValueError(f"neumann index must be >= 0, got {ki}")
             kmax, row = ki, ki
         elif bc.kind == "periodic":
             kmax, row = abs(ki), (2 * ki - 1 if ki > 0 else -2 * ki)
         else:
-            if ki < 1:
-                raise ValueError(f"{bc.kind} index must be >= 1, got {ki}")
             # the Robin table holds kmax + 1 modes, the Dirichlet one kmax
             kmax, row = (ki - 1 if bc.kind == "robin" else ki), ki - 1
         mu_total += float(_axis_mu_values(bc, L, kmax, np.empty(0))[0][row])
         rows.append((L, kmax, row))
-    lam = 1.0 + mu_total / float(kappa) ** 2
+    lam = 1.0 + mu_total / kappa ** 2
 
     def w_fn(point):
         p = as_points(point, box.d)
@@ -565,8 +545,7 @@ def spectral_tail_bound(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     cap K up to the knee R = max(K, 1/b) and by (b r)^(-2 alpha) r^(j-1)
     beyond, which integrate in closed form.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+    kmax = as_integer(kmax, "kmax", 0)
     check_dimension(params, box)
     d = box.d
     amp = 1.0

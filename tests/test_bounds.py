@@ -35,8 +35,17 @@ def test_eulerian_values():
 
 
 def test_eulerian_row_sums():
-    for n in range(1, 9):
+    for n in range(1, 61):
         assert sum(eulerian_number(n, k) for k in range(n)) == math.factorial(n)
+
+
+def test_eulerian_symmetry_and_large_n():
+    # A(n, k) = A(n, n - 1 - k); the row recursion raised RecursionError near n = 500
+    assert eulerian_number(9, 4) == 156190 and eulerian_number(10, 4) == 1310354
+    for n in (1, 2, 7, 30, 61):
+        assert all(eulerian_number(n, k) == eulerian_number(n, n - 1 - k) for k in range(n))
+    assert eulerian_number(2000, 0) == 1 and eulerian_number(2000, 1) == 2 ** 2000 - 2001
+    assert eulerian_number(2000, 1000) == eulerian_number(2000, 999) > 0
 
 
 def test_polylog_partial_domain():

@@ -1,10 +1,23 @@
-"""One input contract: finite point sets, matching dimensions, valid separations."""
+"""One input contract: finite point sets, matching dimensions, valid separations
+and scalars."""
 
+import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+from maternbox.bounds import (
+    aniso_error_bound,
+    dirichlet_error_bound,
+    eulerian_number,
+    lattice_error_bound,
+    polylog_partial,
+    power_sum_closed,
+    window_error_bound,
+)
 from maternbox.folded import (
     cov_folded,
     cov_folded_dirichlet,
@@ -14,7 +27,14 @@ from maternbox.folded import (
     image_tail_bound,
     pick_radius,
 )
-from maternbox.matern import AnisoMetric, derive_params, matern_cov, matern_cov_aniso, matern_gram
+from maternbox.matern import (
+    AnisoMetric,
+    derive_params,
+    matern_cov,
+    matern_cov_aniso,
+    matern_gram,
+    unit_matern,
+)
 from maternbox.sampler import sample_ensemble, sample_field, sample_values
 from maternbox.spectral import (
     BoundarySpec,
@@ -25,6 +45,7 @@ from maternbox.spectral import (
     eigenpair,
     mode_system,
     plain_spectral_gram,
+    robin_eigen_1d,
     spectral_tail_bound,
 )
 
@@ -151,6 +172,8 @@ def test_integer_radius_types_agree():
     got = cov_folded_gram(P1, BOX1, "neumann", pts, np.int64(3))
     assert np.array_equal(ref[0], got[0]) and ref[1] == got[1]
     assert cov_folded(P1, BOX1, "neumann", [0.3], [0.7], np.int32(0)).radius == 0
+    for radius in (np.int64(3), np.uint8(3)):
+        assert _bits(image_tail_bound(P1, BOX1, radius)) == _bits(image_tail_bound(P1, BOX1, 3))
 
 
 @pytest.mark.parametrize("bc,k", [(NEUMANN, (1.7,)), (ROBIN, (1.7,)), (ROBIN, (2.0,)),
@@ -158,7 +181,7 @@ def test_integer_radius_types_agree():
                                   (NEUMANN, ("1",))])
 def test_eigenpair_index_must_be_integer(bc, k):
     # a fractional index was truncated: (1.7,) gave mode 1 under a valid-looking pair
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match=r"^k\[0\] must be an integer"):
         eigenpair(bc, k, BOX1, P1.kappa)
 
 
@@ -166,8 +189,9 @@ def test_eigenpair_integer_index_types_agree():
     for bc in (NEUMANN, ROBIN):
         lam, w = eigenpair(bc, (2,), BOX1, P1.kappa)
         for k in (2, np.int64(2), np.array([2], dtype=np.int32)):
-            lam_k, w_k = eigenpair(bc, k, BOX1, P1.kappa)
-            assert lam_k == lam and w_k([0.3]) == w([0.3])
+            for kappa in (P1.kappa, np.float64(P1.kappa)):
+                lam_k, w_k = eigenpair(bc, k, BOX1, kappa)
+                assert _bits((lam_k, w_k([0.3]))) == _bits((lam, w([0.3])))
 
 
 @pytest.mark.parametrize("bad", [(math.inf, 0.1, 1.0), (1.0, math.inf, 1.0), (1.0, 0.1, math.inf),
@@ -178,3 +202,117 @@ def test_derive_params_needs_finite_positive_values(bad):
     with pytest.raises(ValueError, match=rf"^sigma2, rho, nu must be finite and positive, "
                                          rf"got \({shown}\)$"):
         derive_params(*bad, 1)
+
+
+def _bits(out):
+    """An output as comparable bits: dataclasses and tuples flattened, floats
+    and arrays by their bytes, everything else by type and value."""
+    if dataclasses.is_dataclass(out):
+        out = dataclasses.astuple(out)
+    if isinstance(out, tuple):
+        return [b for part in out for b in _bits(part)]
+    if isinstance(out, (float, np.ndarray)):
+        return [(type(out), np.asarray(out).dtype, np.asarray(out).tobytes())]
+    return [(type(out), out)]
+
+
+M1 = AnisoMetric(np.eye(1), np.array([0.1]))
+DIRICHLET, PERIODIC = BoundarySpec.dirichlet(), BoundarySpec.periodic()
+
+
+def _pair(bc, k, box, kappa):
+    lam, w = eigenpair(bc, k, box, kappa)
+    return lam, w([0.3] * box.d)
+
+
+# every integer argument the package reads: id -> (argument, least value or
+# None, a valid value, the call of one value)
+INTEGERS = {
+    "image_tail_bound": ("radius", 1, 3, lambda v: image_tail_bound(P1, BOX1, v, bc="neumann")),
+    "cov_folded_gram": ("radius", 0, 3,
+                        lambda v: cov_folded_gram(P1, BOX1, "periodic", [[0.3], [0.7]], v)),
+    "cov_folded": ("radius", 0, 2, lambda v: cov_folded(P1, BOX1, "dirichlet", [0.3], [0.7], v)),
+    "TruncationSpec": ("kmax", 0, 50, lambda v: TruncationSpec(v)),
+    "spectral_tail_bound": ("kmax", 0, 40, lambda v: spectral_tail_bound(P1, NEUMANN, BOX1, v)),
+    "robin_eigen_1d": ("count", 1, 13, lambda v: robin_eigen_1d(2.0, 1.2, v)),
+    "eigenpair_neumann": ("k[0]", 0, 2, lambda v: _pair(NEUMANN, (v,), BOX1, P1.kappa)),
+    "eigenpair_dirichlet": ("k[0]", 1, 2, lambda v: _pair(DIRICHLET, (v,), BOX1, P1.kappa)),
+    "eigenpair_robin": ("k[0]", 1, 2, lambda v: _pair(ROBIN, (v,), BOX1, P1.kappa)),
+    "eigenpair_periodic": ("k[0]", None, -2, lambda v: _pair(PERIODIC, (v,), BOX1, P1.kappa)),
+    "eigenpair_axis1": ("k[1]", 0, 2, lambda v: _pair(NEUMANN, (1, v), BOX2, P2.kappa)),
+    "sample_values_seed": ("seed", None, 7,
+                           lambda v: sample_values(P1, NEUMANN, BOX1, [0.3, 0.7], TRUNC, v, 2)),
+    "sample_values_n": ("n", 1, 3,
+                        lambda v: sample_values(P1, NEUMANN, BOX1, [0.3, 0.7], TRUNC, 7, v)),
+    "polylog_partial": ("terms", 1, 20, lambda v: polylog_partial(1.0, 0.5, v)),
+    "power_sum_closed": ("d", 1, 3, lambda v: power_sum_closed(v, 0.5)),
+    "eulerian_number_n": ("n", 0, 5, lambda v: eulerian_number(v, 1)),
+    "eulerian_number_k": ("k", 0, 2, lambda v: eulerian_number(5, v)),
+}
+# every real argument the package reads: id -> (argument, whether 0 is
+# allowed, a valid value, the call of one value)
+REALS = {
+    "BoxDomain_delta": ("delta", True, 0.2, lambda v: BoxDomain(v, 1.0, (1.2,), 1)),
+    "BoxDomain_ell": ("ell", False, 1.0, lambda v: BoxDomain(0.2, v, (1.2,), 1)),
+    "BoxDomain_lengths": ("lengths[0]", False, 1.2, lambda v: BoxDomain(0.2, 1.0, (v,), 1)),
+    "BoxDomain_lengths_axis1": ("lengths[1]", False, 1.5,
+                                lambda v: BoxDomain(0.2, 1.0, (1.2, v), 2)),
+    "BoxDomain_cubic_delta": ("delta", True, 0.2, lambda v: BoxDomain.cubic(v, 1.0, 2)),
+    "BoxDomain_cubic_ell": ("ell", False, 1.0, lambda v: BoxDomain.cubic(0.2, v, 2)),
+    "BoundarySpec": ("beta", False, 2.0, lambda v: BoundarySpec("robin", v)),
+    "BoundarySpec_robin": ("beta", False, 2.0, lambda v: BoundarySpec.robin(v)),
+    "from_resolution_h": ("h", False, 1e-2, lambda v: TruncationSpec.from_resolution(v, 1.2)),
+    "from_resolution_L": ("L", False, 1.2, lambda v: TruncationSpec.from_resolution(1e-2, v)),
+    "robin_eigen_1d_h": ("h", False, 2.0, lambda v: robin_eigen_1d(v, 1.2, 5)),
+    "robin_eigen_1d_ell_axis": ("ell_axis", False, 1.2, lambda v: robin_eigen_1d(2.0, v, 5)),
+    "eigenpair_kappa": ("kappa", False, P1.kappa, lambda v: _pair(ROBIN, (2,), BOX1, v)),
+    "window_error_bound_delta": ("delta", True, 0.2, lambda v: window_error_bound(P1, v, 1.0)),
+    "window_error_bound_ell": ("ell", False, 1.0, lambda v: window_error_bound(P1, 0.2, v)),
+    "lattice_error_bound": ("delta", True, 0.2, lambda v: lattice_error_bound(P1, v, BOX1)),
+    "dirichlet_error_bound": ("delta", True, 0.2, lambda v: dirichlet_error_bound(P1, v, BOX1)),
+    "aniso_error_bound_sigma2": ("sigma2", False, 1.5,
+                                 lambda v: aniso_error_bound(v, 1.0, M1, 0.2, 1.0, 1)),
+    "aniso_error_bound_nu": ("nu", False, 1.5,
+                             lambda v: aniso_error_bound(1.0, v, M1, 0.2, 1.0, 1)),
+    "aniso_error_bound_delta": ("delta", True, 0.2,
+                                lambda v: aniso_error_bound(1.0, 1.0, M1, v, 1.0, 1)),
+    "aniso_error_bound_ell": ("ell", False, 1.0,
+                              lambda v: aniso_error_bound(1.0, 1.0, M1, 0.2, v, 1)),
+    "matern_cov_aniso_sigma2": ("sigma2", False, 1.5,
+                                lambda v: matern_cov_aniso(v, 1.0, M1, [0.3], [0.5])),
+    "matern_cov_aniso_nu": ("nu", False, 1.5,
+                            lambda v: matern_cov_aniso(1.0, v, M1, [0.3], [0.5])),
+    "unit_matern": ("nu", False, 2.5, lambda v: unit_matern(v, [0.0, 0.5, 2.0])),
+}
+_NOT_REAL = [True, math.nan, math.inf, -math.inf]
+SCALAR_CASES = (
+    [(f"{key}-{bad!r}", name, fn, bad) for key, (name, least, _, fn) in INTEGERS.items()
+     for bad in [2.5] + _NOT_REAL + ([] if least is None else [least - 1])]
+    + [(f"{key}-{bad!r}", name, fn, bad) for key, (name, zero, _, fn) in REALS.items()
+       for bad in _NOT_REAL + ([-1.0] if zero else [0.0, -1.0])])
+
+
+@pytest.mark.parametrize("name,fn,bad", [c[1:] for c in SCALAR_CASES],
+                         ids=[c[0] for c in SCALAR_CASES])
+def test_bad_scalars_raise(name, fn, bad):
+    # each read by one reader: a bool, a fraction, NaN, inf or a value out of
+    # range is a ValueError naming the argument, with no warning before it
+    # (TruncationSpec(True) had kmax 1, unit_matern(inf, 1) warned first)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "):
+            fn(bad)
+
+
+@pytest.mark.parametrize("key", list(INTEGERS) + list(REALS))
+def test_numpy_scalar_types_agree(key):
+    # numpy integer and float scalars give the bits of the Python ones
+    if key in INTEGERS:
+        _, _, valid, fn = INTEGERS[key]
+        kinds = (np.int64, np.int32)
+    else:
+        _, _, valid, fn = REALS[key]
+        kinds = (np.float64,)
+    ref = _bits(fn(valid))
+    for kind in kinds:
+        assert _bits(fn(kind(valid))) == ref

@@ -213,7 +213,8 @@ def test_blocks_capped_by_noise_values(monkeypatch):
 def test_seed_and_count_must_be_integers(name, seed, n):
     # a fractional seed would silently draw int(seed)'s stream
     p, box, pts, tr = _setup(n=4, kmax=20)
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+    bound = " >= 1" if name == "n" else ""
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer{bound}, got "):
         sample_ensemble(p, BoundarySpec.neumann(), box, pts, tr, seed, n)
 
 
@@ -227,7 +228,7 @@ def test_integer_seed_and_count_types_agree():
         assert all(type(s.seed) is int for s in got)
         assert all(np.array_equal(a.values, b.values) for a, b in zip(ref, got))
     for n in (0, -3):
-        with pytest.raises(ValueError, match=r"^n must be >= 1, got "):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
             sample_ensemble(p, bc, box, pts, tr, 7, n)
 
 
