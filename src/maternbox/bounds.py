@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matern import AnisoMetric, MaternParams, as_integer, as_real, decay_factor, unit_matern
+from .matern import (AnisoMetric, MaternParams, as_dimension, as_integer, as_real, decay_factor,
+                     unit_matern)
 from .spectral import BoxDomain
 
 __all__ = [
@@ -195,6 +196,7 @@ def aniso_error_bound(sigma2: float, nu: float, metric: AnisoMetric,
     correlation scale, so the isotropic argument applies with the effective
     rate sqrt(2 nu) / rho_max.
     """
+    d = as_dimension(d)
     if d != metric.d:
         raise ValueError(f"dimension mismatch: d={d}, metric is {metric.d}-dimensional")
     sigma2, nu = as_real(sigma2, "sigma2"), as_real(nu, "nu")

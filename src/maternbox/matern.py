@@ -58,13 +58,12 @@ def derive_params(sigma2: float, rho: float, nu: float, d: int) -> MaternParams:
     sigma2, rho, nu = float(sigma2), float(rho), float(nu)
     if not all(0 < v < math.inf for v in (sigma2, rho, nu)):
         raise ValueError(f"sigma2, rho, nu must be finite and positive, got {(sigma2, rho, nu)}")
-    if d not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {d!r}")
+    d = as_dimension(d)
     kappa = math.sqrt(2.0 * nu) / rho
     alpha = nu + d / 2.0
     eta2 = sigma2 * math.exp(0.5 * d * _LOG4PI + ln_gamma(nu + d / 2.0)
                              - ln_gamma(nu) - d * math.log(kappa))
-    return MaternParams(sigma2=sigma2, rho=rho, nu=nu, d=int(d),
+    return MaternParams(sigma2=sigma2, rho=rho, nu=nu, d=d,
                         kappa=kappa, alpha=alpha, eta2=eta2)
 
 
@@ -107,6 +106,14 @@ def as_integer(value, name: str, least: int | None = None) -> int:
         bound = "" if least is None else f" >= {least}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def as_dimension(d) -> int:
+    """``d`` as an int if it is 1, 2 or 3, read by ``as_integer``, else ``ValueError``."""
+    d = as_integer(d, "d", 1)
+    if d > 3:
+        raise ValueError(f"dimension must be 1, 2 or 3, got {d!r}")
+    return d
 
 
 def as_real(value, name: str, zero: bool = False) -> float:

@@ -36,13 +36,13 @@ columns, not kmax times the pairs.
 Periodic complex exponentials are realized as real cosine/sine pairs with
 matching normalization, so all arithmetic stays real.
 
-Each Robin root is one secant step in the bracket at which bisection to
-its own fixed point stops, so it depends on beta L and its index alone
-(``robin_eigen_1d``).  Blocks of roots on the pool read that bracket off
-next to Newton roots and bisect only their misses; the roots n < 12 are one
-more such block, run in the caller.  Where a bracket shows no computed sign
-change (tiny or huge beta L), Newton's root stands in if it passes a
-residual check.  Points (``matern.as_points``) must lie in the closed box.
+Each Robin root is settled by its own bracket, so it depends on beta L and
+its index alone (``robin_eigen_1d``): where both ends have the exact
+residual's signs, blocks of roots on the pool read the pair at which its
+bisection stops off next to Newton roots and bisect only their misses (the
+roots n < 12 are one more block, run in the caller); where an end has the
+wrong sign, Newton's root stands in if it passes a residual check.  Points
+(``matern.as_points``) must lie in the closed box.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 
 from ._blocks import _map_blocks
 from .folded import _gram
-from .matern import MaternParams, as_integer, as_points, as_real, check_dimension
+from .matern import MaternParams, as_dimension, as_integer, as_points, as_real, check_dimension
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -95,23 +95,23 @@ class BoxDomain:
 
     def __post_init__(self):
         delta, ell = as_real(self.delta, "delta", zero=True), as_real(self.ell, "ell")
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d!r}")
+        d = as_dimension(self.d)
         lengths = tuple(as_real(v, f"lengths[{i}]") for i, v in enumerate(self.lengths))
-        if len(lengths) != self.d:
+        if len(lengths) != d:
             raise ValueError("lengths must have one entry per axis")
         for L in lengths:
             if L + 1e-12 < delta + ell:
                 raise ValueError(
                     f"axis length {L} cannot hold the domain plus margin {delta + ell}")
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "ell", ell)
 
     @classmethod
     def cubic(cls, delta: float, ell: float, d: int) -> "BoxDomain":
-        delta, ell = as_real(delta, "delta", zero=True), as_real(ell, "ell")
-        return cls(delta=delta, ell=ell, lengths=(delta + ell,) * int(d), d=int(d))
+        delta, ell, d = as_real(delta, "delta", zero=True), as_real(ell, "ell"), as_dimension(d)
+        return cls(delta=delta, ell=ell, lengths=(delta + ell,) * d, d=d)
 
     @property
     def length_max(self) -> float:
@@ -170,6 +170,8 @@ class TruncationSpec:
     @classmethod
     def from_resolution(cls, h: float, L: float) -> "TruncationSpec":
         h, L = as_real(h, "h"), as_real(L, "L")
+        if not math.isfinite(L / h):
+            raise ValueError(f"L / h must be finite, got h = {h!r}, L = {L!r}")
         return cls(kmax=int(math.ceil(L / h)) + 1)
 
 
@@ -278,8 +280,8 @@ def _robin_adjacent_brackets(a, lo, hi, flo, fhi, c: float):
 
     Takes a and its neighbour float towards the sign change of the computed
     residual.  Where the lower float has the sign of ``flo``, the upper one
-    does not, and both lie strictly inside (lo, hi), the pair and its
-    residuals are written into the bracket arrays in place.  Returns where
+    does not, and both lie within the closed bracket [lo, hi], the pair and
+    its residuals are written into the bracket arrays in place.  Returns where
     they were.
     """
     sign_lo = np.sign(flo)
@@ -289,8 +291,8 @@ def _robin_adjacent_brackets(a, lo, hi, flo, fhi, c: float):
     np.nextafter(a, b, out=b)
     fb = _robin_residual(b, c)
     done = (np.sign(fb) == sign_lo) != up
-    done &= np.where(up, a, b) > lo
-    done &= np.where(up, b, a) < hi
+    done &= np.where(up, a, b) >= lo
+    done &= np.where(up, b, a) <= hi
     down = done & ~up
     up &= done
     for dst, above, below in ((lo, a, b), (flo, fa, fb), (hi, b, a), (fhi, fb, fa)):
@@ -315,33 +317,33 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     residual is sin(a - 2 arctan(c / a)), so root n lies in ((n-1) pi, n pi)
     and solves a = (n-1) pi + 2 arctan(c / a).
 
-    Root n is one secant step (``_robin_secant``) in the bracket at which
-    bisection of (fl((n-1) pi), fl(n pi)) stops, at its own fixed point or
-    after 90 steps, so it depends on c and n alone.  The bisection keeps the
-    computed residual's sign at the lower end equal to its sign at
-    fl((n-1) pi), and at the upper end different, so it stops at an adjacent
-    pair of floats with that sign pattern (root 1 at tiny c at the step
-    cap).  For n >= 12 the bracket lies above 32 and that pair is unique:
-    near the root the residual's slope is at least 1 and its rounding error
-    a few 2^-52, while one ulp of a is at least 2^-47, so the computed
-    residual changes sign once among the floats of the bracket.  Newton's
-    method (``_robin_newton``) finds the pair there: the adjacent floats
-    around its computed sign change are taken where their signs match the
-    pattern and both lie strictly inside the bracket
-    (``_robin_adjacent_brackets``); only the other roots, the misses, are
-    bisected.  One block function returns the finished roots of the head
-    (n < 12, all misses, run in the caller) and of each block of
+    Root n is settled by its bracket (fl((n-1) pi), fl(n pi)) alone, so it
+    depends on c and n alone.  The bracket is sound where the computed
+    residuals at its ends have the exact residual's signs, (-1)^n at
+    (n-1) pi and (-1)^(n+1) at n pi.  A sound bracket gives one secant step
+    (``_robin_secant``) in the bracket at which its bisection stops, at its
+    own fixed point or after 90 steps: an adjacent pair of floats with the
+    ends' signs (root 1 at tiny c at the step cap).  For n >= 12 the bracket
+    lies above 32 and that pair is unique: near the root the residual's
+    slope is at least 1 and its rounding error a few 2^-52, while one ulp of
+    a is at least 2^-47, so the computed residual changes sign once among
+    the floats of a sound bracket.  Newton's method (``_robin_newton``)
+    finds the pair there: the adjacent floats around its computed sign
+    change are taken where their signs match the ends' and both lie within
+    the closed bracket (``_robin_adjacent_brackets``); only the other roots,
+    the misses, are bisected.  One block function returns the finished
+    roots of the head (n < 12, run in the caller) and of each block of
     ``_ROOT_BLOCK`` roots n >= 12 (on the block pool), and every step is
     elementwise, so a root has the same bits in any block, count or thread.
 
     At tiny c a root can lie within rounding of fl((n-1) pi), and at huge c
-    (beta ell >~ 1e17) within rounding of fl(n pi), where the computed
-    residual then has the wrong sign, so some bracket shows no sign change
-    and the bisection has no answer.  Then every miss of n >= 12, and every
-    root of a head with such a bracket, takes Newton's root (from
-    fl((n-1) pi), 0 for n = 1), provided its residual is at most
-    max(1e-12, 2 ulp(a)), which a correctly rounded root meets; otherwise
-    ``ConvergenceError`` is raised, as it is where (h ell)^2 overflows.
+    (beta ell >~ 1e17) within rounding of fl(n pi), so the computed residual
+    there can have the wrong sign.  With one end wrong the bracket shows no
+    sign change; with both wrong it shows one that bisection follows to the
+    next root.  So an unsound bracket takes Newton's root (from fl((n-1) pi),
+    0 for n = 1) if its residual is at most max(1e-12, 2 ulp(a)), which a
+    correctly rounded root meets; otherwise ``ConvergenceError`` names the
+    bracket, as it is raised where (h ell)^2 overflows.
 
     Norms come from the closed form ||u_n||^2 = ell/2 (1 + (h/w)^2) + h/w^2,
     validated elsewhere against quadrature.
@@ -350,13 +352,7 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     count, c = as_integer(count, "count", 1), h * ell_axis
 
     def block(first):
-        """The finished roots of the head (first = 0) or of the root block from ``first``.
-
-        Returns (whether a bracket shows no sign change, the roots, the
-        indices of the misses and their Newton roots).  With such a bracket
-        the misses are left unbisected, as Newton's roots stand in for them;
-        the head takes Newton roots only then (at tiny c they divide by zero).
-        """
+        """The finished roots of the head (first = 0) or of the root block from ``first``."""
         stop = min(first + _ROOT_BLOCK, count) if first else min(count, _NEWTON_FROM)
         # bracket n runs from fl(n pi) (the head's first just above 0) to fl((n + 1) pi)
         ends = np.arange(first, stop + 1, dtype=float)
@@ -366,33 +362,35 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             f_ends = _robin_residual(ends, c)
         if not np.all(np.isfinite(f_ends)):
-            # (h ell)^2 overflows: NaN signs would slip past the bracket check
+            # (h ell)^2 overflows: said here, not as an unsound bracket whose root fails
             raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
         # lo and flo copied apart from hi and fhi: each is written in place
         brackets = lo, hi, flo, fhi = ends[:-1].copy(), ends[1:], f_ends[:-1].copy(), f_ends[1:]
-        bad = np.any(np.sign(flo) == np.sign(fhi))
         n = np.arange(first, stop)
-        newton = _robin_newton(n * math.pi, c, n % 2 == 1) if first or bad else None
-        # in the head, whose roots all miss, n is each root's own index
-        miss = np.flatnonzero(~_robin_adjacent_brackets(newton, *brackets, c)) if first else n
-        if not bad:  # else Newton's roots stand in for every miss
-            for part, settled in zip(brackets, _robin_bisect(*(b[miss] for b in brackets), c)):
-                part[miss] = settled
-        return bad, _robin_secant(*brackets), n[miss], None if newton is None else newton[miss]
+        falling = n % 2 == 1
+        # the exact residual is -(-1)^n at n pi and (-1)^n at (n + 1) pi
+        sound = np.where(falling, (flo > 0) & (fhi < 0), (flo < 0) & (fhi > 0))
+        newton = _robin_newton(lo, c, falling) if first else None
+        # the pair read off next to Newton's root; the head's sound brackets all miss
+        miss = np.flatnonzero(sound & ~_robin_adjacent_brackets(newton, *brackets, c)
+                              if first else sound)
+        for part, settled in zip(brackets, _robin_bisect(*(b[miss] for b in brackets), c)):
+            part[miss] = settled
+        roots = _robin_secant(*brackets)
+        stand = np.flatnonzero(~sound)
+        if stand.size:  # Newton's root where the bracket has a wrong sign
+            a = newton[stand] if first else _robin_newton(n[stand] * math.pi, c, falling[stand])
+            fail = ~(np.abs(_robin_residual(a, c)) <= np.maximum(1e-12, 2.0 * np.spacing(a)))
+            if np.any(fail):
+                i = int(n[stand[np.argmax(fail)]])
+                raise ConvergenceError(f"Robin bracket (({i} pi, {i + 1} pi)) is unsound and its "
+                                       f"Newton root fails the residual check for h*ell = {c}")
+            roots[stand] = a
+        return roots
 
     # the root blocks on the pool, then the head in the caller
     blocks = list(_map_blocks(block, range(_NEWTON_FROM, count, _ROOT_BLOCK)))
-    blocks.insert(0, block(0))
-    alphas = np.concatenate([b[1] for b in blocks])
-    if any(b[0] for b in blocks):  # Newton roots stand in for the misses
-        idx, roots = (np.concatenate(part) for part in zip(*(b[2:] for b in blocks
-                                                               if b[3] is not None)))
-        fail = ~(np.abs(_robin_residual(roots, c)) <= np.maximum(1e-12, 2.0 * np.spacing(roots)))
-        if np.any(fail):
-            i = int(idx[np.argmax(fail)])
-            raise ConvergenceError(f"no sign change in Robin bracket (({i} pi, {i + 1} pi)) "
-                                   f"for h*ell = {c}")
-        alphas[idx] = roots
+    alphas = np.concatenate([block(0)] + blocks)
     omegas = alphas / ell_axis
     norms = ell_axis / 2.0 * (1.0 + (h / omegas) ** 2) + h / omegas ** 2
     return RobinEigen1D(h=h, ell_axis=ell_axis, alphas=alphas, norms=norms)

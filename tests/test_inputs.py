@@ -249,6 +249,15 @@ INTEGERS = {
     "eulerian_number_n": ("n", 0, 5, lambda v: eulerian_number(v, 1)),
     "eulerian_number_k": ("k", 0, 2, lambda v: eulerian_number(5, v)),
 }
+# the dimension of a kernel, a box or a bound: BoxDomain.cubic(0.2, 1.0, 2.5)
+# built a d = 2 box and BoxDomain(0.2, 1.0, (1.2,), True) kept d = True
+DIMENSIONS = {
+    "derive_params_d": ("d", 1, 2, lambda v: derive_params(1.0, 0.1, 1.0, v)),
+    "BoxDomain_d": ("d", 1, 1, lambda v: BoxDomain(0.2, 1.0, (1.2,), v)),
+    "BoxDomain_cubic_d": ("d", 1, 2, lambda v: BoxDomain.cubic(0.2, 1.0, v)),
+    "aniso_error_bound_d": ("d", 1, 1, lambda v: aniso_error_bound(1.0, 1.0, M1, 0.2, 1.0, v)),
+}
+INTEGERS.update(DIMENSIONS)
 # every real argument the package reads: id -> (argument, whether 0 is
 # allowed, a valid value, the call of one value)
 REALS = {
@@ -289,7 +298,9 @@ SCALAR_CASES = (
     [(f"{key}-{bad!r}", name, fn, bad) for key, (name, least, _, fn) in INTEGERS.items()
      for bad in [2.5] + _NOT_REAL + ([] if least is None else [least - 1])]
     + [(f"{key}-{bad!r}", name, fn, bad) for key, (name, zero, _, fn) in REALS.items()
-       for bad in _NOT_REAL + ([-1.0] if zero else [0.0, -1.0])])
+       for bad in _NOT_REAL + ([-1.0] if zero else [0.0, -1.0])]
+    + [(f"{key}-{bad!r}", name, fn, bad) for key, (name, _, _, fn) in DIMENSIONS.items()
+       for bad in ("2", 1.0)])
 
 
 @pytest.mark.parametrize("name,fn,bad", [c[1:] for c in SCALAR_CASES],
@@ -316,3 +327,16 @@ def test_numpy_scalar_types_agree(key):
     ref = _bits(fn(valid))
     for kind in kinds:
         assert _bits(fn(kind(valid))) == ref
+
+
+@pytest.mark.parametrize("key", list(DIMENSIONS))
+def test_dimension_above_three_raises(key):
+    with pytest.raises(ValueError, match=r"^dimension must be 1, 2 or 3, got 4$"):
+        DIMENSIONS[key][3](4)
+
+
+@pytest.mark.parametrize("h,L", [(1e-320, 1.0), (1e-10, 1e300)])
+def test_from_resolution_needs_a_finite_ratio(h, L):
+    # L / h overflowed to inf, and kmax = int(inf) raised OverflowError
+    with pytest.raises(ValueError, match=re.escape(f"h = {h!r}, L = {L!r}")):
+        TruncationSpec.from_resolution(h, L)

@@ -247,23 +247,21 @@ def test_robin_roots_bitwise_equal_bisection(monkeypatch):
     edge = spectral._NEWTON_FROM + spectral._ROOT_BLOCK
     configs = [(bl, count) for bl in (1e-4, 1e-2, 1.0, 12.0, 1e3, 1e6)
                for count in (1, 6, 7, 11, 12, 13, 1001, edge - 1, edge, edge + 1)]
-    # roots near n pi, and a root 12 within an ulp of fl(11 pi), that fall
-    # back to bisection; root 1 at the 90-step cap
-    partial = [(1e16, 1001), (1e-20, 12), (1e-40, 12)]
-    for bl, count in configs + [(12.0, 100001)] + partial:
+    # roots near n pi, and a root 12 within an ulp of fl(11 pi), whose pair
+    # touches an end of the bracket; root 1 at the 90-step cap
+    edges = [(1e16, 1001), (1e-20, 12), (1e-40, 12)]
+    for bl, count in configs + [(12.0, 100001)] + edges:
         bisected.clear()
         eig = robin_eigen_1d(bl / ell, ell, count)
         alphas, norms = _bisection_reference(bl / ell, ell, count)
         assert np.array_equal(eig.alphas, alphas), (bl, count)
         assert np.array_equal(eig.norms, norms), (bl, count)
         # each block bisects its own misses: the head's roots n < 12 and, with
-        # the roots n >= 12 all by Newton, none of the root blocks' roots
+        # every pair of the roots n >= 12 read off in the closed bracket, none
+        # of the root blocks' roots
         head = min(count, spectral._NEWTON_FROM)
         assert len(bisected) == 1 + len(range(head, count, spectral._ROOT_BLOCK))
-        if (bl, count) in partial:
-            assert sum(bisected) > head, (bl, count, bisected)
-        else:
-            assert sum(bisected) == head, (bl, count, bisected)
+        assert sum(bisected) == head, (bl, count, bisected)
 
 
 def test_robin_roots_off_their_pair_are_bisected(monkeypatch):
@@ -284,10 +282,12 @@ def test_robin_roots_off_their_pair_are_bisected(monkeypatch):
 
 
 def test_robin_roots_do_not_depend_on_count():
-    # each bracket ends at its own fixed point whatever else is bisected, so
-    # a short solve gives the first roots of a long one, bit for bit
+    # each root is settled by its own bracket, at its own fixed point or by
+    # Newton's root where that bracket has a wrong sign, so a short solve
+    # gives the first roots of a long one, bit for bit, at the edges too
     ell = 1.2
-    for bl in np.geomspace(1e-8, 1e8, 41):
+    edges = [1e-40, 1e-30, 1e-20, 1e-12, 1e-9, 1e16, 1e17, 1e19, 1e100]
+    for bl in list(np.geomspace(1e-8, 1e8, 41)) + edges:
         full = robin_eigen_1d(bl / ell, ell, 16400)
         for count in range(1, 14):
             eig = robin_eigen_1d(bl / ell, ell, count)
@@ -297,15 +297,18 @@ def test_robin_roots_do_not_depend_on_count():
 
 def test_eigenpair_robin_rows_match_mode_system():
     # each axis factor of eigenpair is one row of the mode table that the
-    # modal sums use, bit for bit, however few modes it asks for
-    for d, kmax in ((1, 20), (2, 8)):
+    # modal sums use, bit for bit, however few modes it asks for; beta L of
+    # 1e-40 to 1e19 has brackets with a wrong sign (box length 1.2)
+    edges = [bl / 1.2 for bl in (1e-40, 1e-20, 1e17, 1e19)]
+    for d, kmax, betas in ((1, 20, list(np.geomspace(1e-3, 1e3, 17)) + edges),
+                           (1, 16400, edges), (2, 8, np.geomspace(1e-3, 1e3, 5))):
         p = derive_params(1.0, 0.3, 1.5, d)
         box = BoxDomain.cubic(0.2, 1.0, d)
         pts = np.random.default_rng(d).uniform(0.0, box.lengths[0], (9, d))
-        for beta in np.geomspace(1e-3, 1e3, 17 if d == 1 else 5):
+        for beta in betas:
             bc = BoundarySpec.robin(beta)
             lam, W = mode_system(p, bc, box, pts, TruncationSpec(kmax))
-            for k in product(range(1, 7), repeat=d):
+            for k in product(range(1, 14 if d == 1 else 7), repeat=d):
                 row = np.ravel_multi_index(np.subtract(k, 1), (kmax + 1,) * d)
                 lam_k, w = eigenpair(bc, k, box, p.kappa)
                 assert lam_k == lam[row], (beta, k)
@@ -379,6 +382,29 @@ def test_robin_roots_for_tiny_beta_and_many_modes():
     # computed sign change; Newton's root stands in for roots n >= 12
     for bl, count in ((1.2e-6, 120002), (1e-6, 100001), (1e-9, 10001), (1e-30, 1000)):
         _check_newton_stand_ins(bl, count)
+
+
+@pytest.mark.parametrize("bl,count", [(1e-30, 1000), (1e19, 11)])
+def test_robin_stand_in_failing_its_residual_check_raises(monkeypatch, bl, count):
+    # a bracket with a wrong sign at an end takes Newton's root only if that
+    # root passes the residual check; here one stand-in (in a root block at
+    # tiny beta L, in the head at huge beta L) is moved off its root
+    c = bl / 1.2 * 1.2
+    n = np.arange(1, count)  # the brackets (n pi, (n + 1) pi) above the first
+    flo, fhi = _robin_residual(n * math.pi, c), _robin_residual((n + 1) * math.pi, c)
+    # the exact residual is -(-1)^n at n pi and (-1)^n at (n + 1) pi
+    wrong = np.where(n % 2 == 1, (flo <= 0) | (fhi >= 0), (flo >= 0) | (fhi <= 0))
+    i = int(n[wrong][-1])
+    newton = spectral._robin_newton
+
+    def one_root_off(lo, c, falling):
+        a = newton(lo, c, falling)
+        a[lo == i * math.pi] += 1e-6
+        return a
+
+    monkeypatch.setattr(spectral, "_robin_newton", one_root_off)
+    with pytest.raises(ConvergenceError, match=rf"\(\({i} pi, {i + 1} pi\)\)"):
+        robin_eigen_1d(bl / 1.2, 1.2, count)
 
 
 def test_robin_roots_for_huge_beta():
