@@ -12,20 +12,21 @@ the geometric domination M(a + b) <= M(a) * f(b) of the kernel family; a
 sum without a quantified remainder is not usable as a reference value.
 
 One engine sums the images of a list of point pairs: the Gram passes its
-upper-triangle pairs, the pair functions the single pair (x, y).  Images
-are formed once per distinct |x - eps.y| row (componentwise); that is
-exact because the lattice offsets are symmetric, IEEE negation is exact
-and every sum is exactly rounded: long rows are summed by exact integer
-bucket sums per binary exponent (``_row_fsums``), whose ``math.fsum`` is
-the ``math.fsum`` of the row, bit for bit.  Where the first two axes share
-a period, rows (a, b, ...) and (b, a, ...) have the same image distances bit
-for bit (axis 1 is added to axis 0 first, and addition commutes), so they
-share one row.  The rows are split into one run per thread of the block pool
-(``_blocks``), and each run is one pool block: it forms its distances,
-evaluates the kernel once per distinct image distance of its own and
-returns its row sums, streaming its rows in chunks of at most
-``_CHUNK_IMAGES`` images.  The tail adds, over the reflection families,
-the remainder at that family's largest pair separation, so a one-point Gram
+upper-triangle pairs, the pair functions the single pair (x, y).  Images are
+formed once per distinct |x - eps.y| row (componentwise); that is exact
+because the lattice offsets are symmetric, IEEE negation is exact and every
+sum is exactly rounded: long rows are summed by exact integer bucket sums
+per binary exponent (``_row_fsums``), whose ``math.fsum`` is the
+``math.fsum`` of the row, bit for bit.  Rows are canonical: sorted within
+each group of equal-period axes, their distances added in that order, so
+rows that differ by such a permutation share one (35 rows, not 75, on a
+cubic d = 3 grid of 8 points); d <= 2 values are the axis-order ones, d = 3
+values move by rounding only.  The rows are split into one run per thread of
+the block pool (``_blocks``), and each run is one pool block: it forms its
+distances, evaluates the kernel once per distinct image distance of its own
+and returns its row sums, streaming its rows in chunks of at most
+``_CHUNK_IMAGES`` images.  The tail adds, over the reflection families, the
+remainder at that family's largest pair separation, so a one-point Gram
 certifies exactly what the pair function does.  The default radius is the
 smallest whose tail, that same per-family sum, meets the tolerance; the
 search and the returned tail read one shell table (``_Tails``).  Points
@@ -385,28 +386,27 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     """Folded covariance of the point pairs (pts[i], pts[j]), (i, j) in ``pairs``.
 
     Returns (values, radius, tail).  Reflection eps contributes the images
-    of u = x - eps.y, formed once per distinct |u| row: the offsets are
-    symmetric per axis and IEEE negation is exact, so u and |u| have images
-    at the same distances, bit for bit; with equal periods on axes 0 and 1
-    the first two components are sorted, as (a, b, ...) and (b, a, ...)
-    have the same distances too.  The rows are split into one run per pool
-    thread, and each run is one pool block (``_run_sums``): it forms its
-    rows' distinct image squared distances with their counts, evaluates
-    the kernel once per distinct distance of its own and returns its
-    exactly rounded row sums; the caller only concatenates them.  Each
-    row's images, then each pair's signed family sums, are summed exactly
-    rounded (``_row_fsums`` equals ``math.fsum`` of the row's images), and
-    a kernel value does not depend on its batch, so neither the runs nor
-    their chunks show in the result.  A row of more than ``_CHUNK_IMAGES``
-    images raises ``ValueError``, as does a separation beyond
-    ``_MAX_SHELLS`` smallest periods.  The tail sums, over the reflections,
-    the certified remainder at that reflection's largest separation, which
-    for a single pair is the pair's own remainder.  One ``_Tails`` table
-    serves the radius search and the returned tail: the default radius is
-    the smallest this tail certifies below ``tol`` capped at the default
-    tolerance (``pick_radius``'s, and the tolerance itself when None), or
-    below the default tolerance where no radius up to 128 meets that.  An
-    explicit radius must be an integer >= 0.
+    of u = x - eps.y, formed once per distinct |u| row: the offsets are symmetric
+    per axis and IEEE negation is exact, so u and |u| have images at the same
+    distances, bit for bit.  |u| is sorted within each group of equal-period
+    axes (in a copy), its distances added in that order: rows that differ by
+    such a permutation share one row, and only d = 3 values move, by rounding.
+    Each pool thread takes one run of rows as one pool block (``_run_sums``):
+    it forms its rows' distinct image squared distances with their counts,
+    evaluates the kernel once per distinct distance of its own and returns its
+    exactly rounded row sums; the caller only concatenates them.  Each row's
+    images, then each pair's signed family sums, are summed exactly rounded
+    (``_row_fsums`` equals ``math.fsum`` of the row's images), and a kernel
+    value does not depend on its batch, so neither the runs nor their chunks
+    show in the result.  A row of more than ``_CHUNK_IMAGES`` images raises
+    ``ValueError``, as does a separation beyond ``_MAX_SHELLS`` smallest
+    periods.  The tail sums, over the reflections, the certified remainder at
+    that reflection's largest separation, for a single pair the pair's own
+    remainder.  One ``_Tails`` table serves the radius search and the returned
+    tail: the default radius is the smallest this tail certifies below ``tol``
+    capped at the default tolerance (``pick_radius``'s, and the tolerance
+    itself when None), or below the default where no radius up to 128 meets
+    that.  An explicit radius must be an integer >= 0.
     """
     d = params.d
     eps, periods = _families(params, box, kind)
@@ -428,9 +428,9 @@ def _image_sums(params: MaternParams, box: BoxDomain, kind: str, pts: np.ndarray
     if n_images > _CHUNK_IMAGES:
         raise ValueError(f"radius {radius} needs {n_images} images per row, above the "
                          f"{_CHUNK_IMAGES} the image sums hold at once")
-    keys = u.reshape(-1, d)
-    if d >= 2 and periods[0] == periods[1]:  # rows (a, b, ...) and (b, a, ...) share images
-        keys = np.column_stack([np.sort(keys[:, :2], axis=1), keys[:, 2:]])
+    keys = u.reshape(-1, d).copy()  # canonical: sorted within each equal-period axis group
+    for group in (np.flatnonzero(periods == period) for period in np.unique(periods)):
+        keys[:, group] = np.sort(keys[:, group], axis=1)
     if drop_identity:  # identity rows apart: only their zero shift is dropped
         keys = np.column_stack([keys, np.arange(len(keys)) < i.size])
     rows, row_of = np.unique(keys, axis=0, return_inverse=True)

@@ -77,6 +77,8 @@ __all__ = [
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 # values per block of a mode table, of a d >= 2 weight matrix and of sampler noise
 _BLOCK_VALUES = 2 ** 16
+# the largest index cap of a mode table: its indices are formed as floats
+_MAX_KMAX = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -429,6 +431,9 @@ def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray)
     Callers map ``block`` over ``starts`` on the block pool
     (``_blocks._map_blocks``).
     """
+    if kmax > _MAX_KMAX:
+        raise ValueError(f"kmax {kmax} exceeds 2^53, the largest index cap a mode table "
+                         "forms exactly")
     x = np.asarray(coords, dtype=float)
     n = max(x.size, 1)
     if bc.kind == "robin":
@@ -541,7 +546,11 @@ def spectral_tail_bound(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     owns a unit cell no closer to the origin than radius kmax.  The radial
     integrand (1 + (b r)^2)^(-alpha) r^(j-1) is bounded by its value at the
     cap K up to the knee R = max(K, 1/b) and by (b r)^(-2 alpha) r^(j-1)
-    beyond, which integrate in closed form.
+    beyond, which integrate in closed form.  The first part is empty where
+    K >= 1/b, so (b K)^2 is formed only below the knee; the second,
+    b^(-2 alpha) R^(j - 2 alpha), is formed as one exp of a log sum where
+    its powers leave the normal float range (huge kmax, large nu), so any
+    kmax gives a finite tail that is 0 only below the float range.
     """
     kmax = as_integer(kmax, "kmax", 0)
     check_dimension(params, box)
@@ -555,11 +564,17 @@ def spectral_tail_bound(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     alpha = params.alpha
     K = max(kmax, 1)
     R = max(K, 1.0 / b)
-    head = (1.0 + (b * K) ** 2) ** (-alpha)
     total = 0.0
     for j in range(1, d + 1):
-        radial = (head * (R ** j - K ** j) / j
-                  + b ** (-2.0 * alpha) * R ** (j - 2.0 * alpha) / (2.0 * alpha - j))
+        try:
+            radial = b ** (-2.0 * alpha) * R ** (j - 2.0 * alpha)
+        except OverflowError:  # b^(-2 alpha), or a kmax past the float range
+            radial = 0.0
+        if not radial >= np.finfo(float).tiny:
+            radial = math.exp(-2.0 * alpha * math.log(b) + (j - 2.0 * alpha) * math.log(R))
+        radial /= 2.0 * alpha - j
+        if R > K:
+            radial += (1.0 + (b * K) ** 2) ** (-alpha) * (R ** j - K ** j) / j
         total += math.comb(d, j) * _SPHERE_SURFACE[j] / 2.0 ** j * radial
     if kmax == 0:
         # the cells of the first shell are not covered by the radial

@@ -3,7 +3,7 @@
 import math
 import re
 import warnings
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -247,9 +247,11 @@ def test_one_point_gram_is_the_pair_sum(kind, radius):
         assert tail == ref.tail_bound
 
 
-def _reference_gram(p, box, kind, pts, radius, drop_identity):
-    # the direct form: per family and pair, fsum over the images of the signed
-    # u = x - eps.y; then fsum across the families with the Dirichlet parities
+def _reference_gram(p, box, kind, pts, radius, drop_identity, canonical=True):
+    # the direct form: per family and pair, fsum over the images of
+    # u = x - eps.y; then fsum across the families with the Dirichlet parities.
+    # canonical: |u| sorted within each group of equal-period axes before the
+    # offsets are added, the engine's row order; else the signed u in axis order
     lengths = np.asarray(box.lengths)
     if kind == "periodic":
         families, periods = [(1,) * p.d], lengths
@@ -258,12 +260,18 @@ def _reference_gram(p, box, kind, pts, radius, drop_identity):
     offs = np.array(list(product(range(-radius, radius + 1), repeat=p.d))) * periods
     eps = np.array(families, dtype=float)
     x, y = pts[None, :, None, None, :], pts[None, None, :, None, :]
-    diff = x - eps[:, None, None, None, :] * y + offs  # (family, i, j, image, axis)
+    u = x - eps[:, None, None, None, :] * y  # (family, i, j, 1, axis)
+    if canonical:
+        u = np.abs(u)
+        for period in set(periods.tolist()):
+            group = periods == period
+            u[..., group] = np.sort(u[..., group], axis=-1)
+    diff = u + offs
     kernel = p.sigma2 * unit_matern(p.nu, p.kappa * np.sqrt(np.sum(diff * diff, axis=-1)))
     if drop_identity:
         kernel[0, :, :, np.all(offs == 0, axis=1)] = 0.0
     n = len(pts)
-    gram = np.empty((n, n))
+    gram, mass = np.empty((n, n)), np.empty((n, n))
     for i in range(n):
         for j in range(n):
             partials = []
@@ -271,7 +279,8 @@ def _reference_gram(p, box, kind, pts, radius, drop_identity):
                 part = math.fsum(kernel[f, i, j].tolist())
                 partials.append(math.prod(e) * part if kind == "dirichlet" else part)
             gram[i, j] = math.fsum(partials)
-    return gram
+            mass[i, j] = math.fsum(abs(part) for part in partials)
+    return gram, mass
 
 
 def _family_seps(box, kind, pts):
@@ -284,16 +293,19 @@ def _family_seps(box, kind, pts):
 
 def test_gram_bitwise_equals_direct_reference():
     rng = np.random.default_rng(5)
-    for d, lengths in ((1, (1.3,)), (2, (1.2, 1.45)), (3, (1.1, 1.2, 1.35))):
+    # cubic boxes, one rectangular box per dimension and a (P, Q, P) box,
+    # whose equal-period axes 0 and 2 are not adjacent
+    for d, shapes in ((1, [(1.3,)]), (2, [(1.2, 1.45)]),
+                      (3, [(1.1, 1.2, 1.35), (1.1, 1.2, 1.1)])):
         p = derive_params(1.5, 0.4, 0.8, d)
-        for box in (BoxDomain.cubic(0.1, 1.0, d),
-                    BoxDomain(delta=0.1, ell=1.0, lengths=lengths, d=d)):
+        for box in [BoxDomain.cubic(0.1, 1.0, d)] + [
+                BoxDomain(delta=0.1, ell=1.0, lengths=lengths, d=d) for lengths in shapes]:
             # off-grid points in the box, so x - eps.y takes both signs
             pts = rng.uniform(0.0, 1.0, size=(4, d)) * np.array(box.lengths)
             for kind in ("periodic", "neumann", "dirichlet"):
                 for drop in (False, True):
                     gram, _ = cov_folded_gram(p, box, kind, pts, 2, drop_identity=drop)
-                    ref = _reference_gram(p, box, kind, pts, 2, drop)
+                    ref, _ = _reference_gram(p, box, kind, pts, 2, drop)
                     assert np.array_equal(gram, ref), (d, box.lengths, kind, drop)
     # default radius with rho at or beyond the box: rows of 89 to 59,319
     # images, long enough for the bucketed exact sums in every dimension
@@ -306,34 +318,69 @@ def test_gram_bitwise_equals_direct_reference():
         assert (2 * radius + 1) ** d >= 81, (d, radius)
         for drop in (False, True):
             gram, tail = cov_folded_gram(p, box, kind, pts, drop_identity=drop)
-            ref = _reference_gram(p, box, kind, pts, radius, drop)
+            ref, _ = _reference_gram(p, box, kind, pts, radius, drop)
             assert np.array_equal(gram, ref), (d, kind, drop)
             assert tail == cov_folded_gram(p, box, kind, pts, radius)[1]
 
 
+def test_d3_gram_within_rounding_of_the_axis_order_image_sum():
+    # an oracle that does not share the canonical row order: per family and
+    # pair the signed x - eps.y with the offsets added in axis order.  The
+    # canonical order adds the same exact squared terms in another order, so
+    # each entry may move by rounding only: at most 8 u sum_f |F_f| (u = 2^-53,
+    # F_f the entry's family sums; up to 1.7 u here, and more where kappa r,
+    # the kernel's log-derivative, is large at the images that carry the mass:
+    # 5.8 u at rho 0.3).  The axis-order sum itself moves by as much when the
+    # axes of the points are permuted: it defines no entry more closely
+    u = 2.0 ** -53
+    rng = np.random.default_rng(17)
+    moved = []
+    for nu, rho in ((1.5, 0.5), (1.0, 1.0), (2.5, 0.8)):
+        p = derive_params(1.0, rho, nu, 3)
+        box = BoxDomain.cubic(0.1, 1.0, 3)
+        pts = rng.uniform(0.0, 1.0, size=(4, 3)) * np.array(box.lengths)
+        for kind in ("periodic", "neumann", "dirichlet"):
+            for drop in (False, True):
+                gram, _ = cov_folded_gram(p, box, kind, pts, 4, drop_identity=drop)
+                ref, mass = _reference_gram(p, box, kind, pts, 4, drop, canonical=False)
+                perm, _ = _reference_gram(p, box, kind, pts[:, [2, 0, 1]], 4, drop,
+                                          canonical=False)
+                case = (nu, rho, kind, drop)
+                assert np.all(np.abs(gram - ref) <= 8 * u * mass), case
+                assert np.all(np.abs(perm - ref) <= 8 * u * mass), case
+                moved.append(not np.array_equal(perm, ref))
+    assert any(moved)
+
+
 def test_cubic_gram_invariant_under_axis_swap():
-    # in a cubic box rows (a, b, ...) and (b, a, ...) share their images, so
-    # swapping axes 0 and 1 of the points leaves every Gram entry's bits; the
-    # swap permutes the reflection families, whose tails sum in another order
+    # rows that differ by a permutation of equal-period axes share one row, so
+    # permuting those axes of the points leaves every Gram entry's bits: all
+    # axis orders of a cubic box, the swap of axes 0 and 2 in a (P, Q, P) box;
+    # a permutation reorders the reflection families, whose tails sum in
+    # another order
     rng = np.random.default_rng(41)
-    for d, rho in ((2, 0.8), (3, 0.5)):
+    for lengths, rho, perms in (((1.1,) * 2, 0.8, [(1, 0)]),
+                                ((1.1,) * 3, 0.5, list(permutations(range(3)))[1:]),
+                                ((1.1, 1.3, 1.1), 0.5, [(2, 1, 0)])):
+        d = len(lengths)
         p = derive_params(1.0, rho, 1.0, d)
-        box = BoxDomain.cubic(0.1, 1.0, d)
+        box = BoxDomain(delta=0.1, ell=1.0, lengths=lengths, d=d)
         pts = rng.uniform(0.0, 1.1, size=(6, d))
-        swapped = pts[:, [1, 0] + list(range(2, d))]
         for kind in ("periodic", "neumann", "dirichlet"):
             for drop in (False, True):
                 for radius in (None, 3):
                     gram, tail = cov_folded_gram(p, box, kind, pts, radius, drop_identity=drop)
-                    got, got_tail = cov_folded_gram(p, box, kind, swapped, radius,
-                                                    drop_identity=drop)
-                    assert np.array_equal(got, gram), (d, kind, drop, radius)
-                    assert got_tail == pytest.approx(tail, rel=1e-15)
+                    for perm in perms:
+                        got, got_tail = cov_folded_gram(p, box, kind, pts[:, list(perm)],
+                                                        radius, drop_identity=drop)
+                        assert np.array_equal(got, gram), (lengths, perm, kind, drop, radius)
+                        assert got_tail == pytest.approx(tail, rel=1e-15)
 
 
 def test_axis_swap_shares_rows_in_square_axes_only(monkeypatch):
-    # the bench's d = 3 grid: 125 distinct |u| rows, 75 once the first two
-    # components are sorted; axis 2, and a rectangular box, keep their rows
+    # the bench's d = 3 grid: 125 distinct |u| rows; sorted within the axes
+    # that share a period, 35 in a cubic box and 75 where two axes share one,
+    # adjacent or not
     from maternbox.experiments import grid_points
 
     rows = []
@@ -346,7 +393,8 @@ def test_axis_swap_shares_rows_in_square_axes_only(monkeypatch):
     monkeypatch.setattr(folded, "_row_distances", counted)
     p = derive_params(1.0, 1.0, 1.0, 3)
     pts = grid_points(3, 0.1, 2)
-    for lengths, want in (((1.1, 1.1, 1.1), 75), ((1.1, 1.1, 1.2), 75), ((1.1, 1.2, 1.1), 125)):
+    for lengths, want in (((1.1, 1.1, 1.1), 35), ((1.1, 1.1, 1.2), 75), ((1.1, 1.2, 1.1), 75),
+                          ((1.1, 1.2, 1.3), 125)):
         rows.clear()
         cov_folded_gram(p, BoxDomain(delta=0.1, ell=1.0, lengths=lengths, d=3), "neumann", pts, 2)
         assert sum(rows) == want, (lengths, rows)

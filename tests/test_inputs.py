@@ -340,3 +340,42 @@ def test_from_resolution_needs_a_finite_ratio(h, L):
     # L / h overflowed to inf, and kmax = int(inf) raised OverflowError
     with pytest.raises(ValueError, match=re.escape(f"h = {h!r}, L = {L!r}")):
         TruncationSpec.from_resolution(h, L)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_huge_kmax_tail_is_formed_without_overflow(d):
+    # (b K)^2 overflowed at kmax 1e300 and a kmax past the float range could
+    # not be read as a float (OverflowError); the tail keeps falling with kmax
+    # and reads 0 only below the float range (about 3e-299 at kmax 1e150)
+    params = derive_params(1.0, 0.1, 1.0, d)
+    box = BoxDomain.cubic(0.2, 1.0, d)
+    for bc in (NEUMANN, DIRICHLET, PERIODIC):
+        tails = [spectral_tail_bound(params, bc, box, kmax)
+                 for kmax in (10 ** 20, 10 ** 150, 10 ** 300, 10 ** 400)]
+        assert tails[0] > tails[1] > 0.0 and tails[2] == tails[3] == 0.0, (bc, tails)
+
+
+MODAL = {
+    "cov_spectral_gram": lambda t: cov_spectral_gram(P1, NEUMANN, BOX1, [[0.3], [0.7]], t),
+    "cov_spectral_gram_dirichlet": lambda t: cov_spectral_gram(P1, DIRICHLET, BOX1,
+                                                               [[0.3], [0.7]], t),
+    "cov_spectral_gram_periodic": lambda t: cov_spectral_gram(P1, PERIODIC, BOX1,
+                                                              [[0.3], [0.7]], t),
+    "cov_spectral_gram_robin": lambda t: cov_spectral_gram(P1, ROBIN, BOX1, [[0.3], [0.7]], t),
+    "cov_spectral_gram_d2": lambda t: cov_spectral_gram(P2, NEUMANN, BOX2, [[0.3, 0.5]], t),
+    "cov_spectral": lambda t: cov_spectral(P1, NEUMANN, BOX1, [0.3], [0.7], t),
+    "plain_spectral_gram": lambda t: plain_spectral_gram(P1, NEUMANN, BOX1, [[0.3]], t),
+    "mode_system": lambda t: mode_system(P1, NEUMANN, BOX1, [[0.3]], t),
+    "sample_field": lambda t: sample_field(P1, NEUMANN, BOX1, [[0.3]], t, 3),
+    "eigenpair": lambda t: eigenpair(NEUMANN, (t.kmax,), BOX1, P1.kappa),
+}
+
+
+@pytest.mark.parametrize("key", list(MODAL))
+@pytest.mark.parametrize("trunc", [TruncationSpec.from_resolution(1e-300, 1.0),
+                                   TruncationSpec(2 ** 53 + 1)], ids=["1e300", "2^53+1"])
+def test_mode_table_beyond_exact_indices_raises(key, trunc):
+    # a mode table forms its indices as floats; kmax 1e300 failed in numpy
+    # ("Maximum allowed size exceeded") after the routes had begun
+    with pytest.raises(ValueError, match=rf"^kmax {trunc.kmax} exceeds 2\^53"):
+        MODAL[key](trunc)

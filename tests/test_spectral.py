@@ -551,6 +551,20 @@ def test_tail_bound_decreases_in_resolved_regime():
         assert all(t > 0 for t in tails)
 
 
+def test_tail_bound_positive_where_its_powers_underflow():
+    # nu = 50: past the knee the d = 1 tail is c kmax^(1 - 2 alpha) exactly,
+    # so it falls by (1000 / kmax)^100 from kmax 1000 (4.2e-147).  At kmax
+    # 2402 that is about 4e-185, but R^(1 - 2 alpha) alone underflowed and
+    # the tail read 0, a certificate of no truncation at all
+    p = derive_params(1.0, 0.1, 50.0, 1)
+    box = BoxDomain.cubic(0.1, 1.0, 1)
+    for bc in (BoundarySpec.neumann(), BoundarySpec.periodic()):
+        ref = spectral_tail_bound(p, bc, box, 1000)
+        for kmax in (2402, 5000):
+            want = ref * (1000 / kmax) ** (2 * p.alpha - 1)
+            assert spectral_tail_bound(p, bc, box, kmax) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_robin_exact_for_exponential_kernel():
     # with beta = kappa the modal route reproduces the kernel up to truncation
     p = derive_params(1.0, 0.1, 0.5, 1)
