@@ -3,10 +3,11 @@
 Every pooled computation in the package goes through ``_map_blocks``: the
 sampler's draw blocks, the mode-table blocks (in d = 1 each with its
 partial modal Gram), the d >= 2 modal weight row blocks, the Robin root
-blocks (each returning its roots finished), the folded Gram's row runs
-(each from image distances through the kernel to exact row sums) and the
-kernel's point blocks.  Each block is computed exactly as it would be in
-the caller, so a result does not depend on the worker count.  A block
+blocks (each returning its roots and norms finished) and the folded Gram's
+row runs (each from image distances through the kernel to exact row sums).
+The kernel's point blocks run in turn in their caller's thread, on the pool
+only inside such a row run.  Each block is computed exactly as it would be
+in the caller, so a result does not depend on the worker count.  A block
 reaches other layers through their private functions only
 (``matern._unit_matern``, ``specfun._log_bessel_k``).  This module imports
 nothing from the package, so every layer may use it.

@@ -22,7 +22,8 @@ from .bounds import (
     window_error_bound,
 )
 from .folded import cov_folded_gram
-from .matern import MaternParams, derive_params, matern_cov, matern_gram, unit_matern
+from .matern import (MaternParams, as_dimension, as_integer, as_real, derive_params, matern_cov,
+                     matern_gram, unit_matern)
 from .sampler import empirical_cov, sample_field, sample_values
 from .specfun import bessel_k_quadrature, log_bessel_k
 from .spectral import (
@@ -100,8 +101,21 @@ _ALL_KEYS = ("sigma2", "rho", "nu", "d", "bc", "delta_list", "n_grid",
              "trunc_h", "robin_beta", "n_samples", "seed")
 
 
+def _integer(text: str):
+    """``int(text)`` where the text reads as one, else the text, which ``as_integer`` refuses."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def load_config(path) -> ExperimentConfig:
-    """Parse a flat key=value config file; unknown or duplicate keys are errors."""
+    """Parse a flat key=value config file; unknown or duplicate keys are errors.
+
+    Every value goes through ``matern``'s readers (``as_real``,
+    ``as_integer``, ``as_dimension``), so a bad one is refused at load,
+    naming the file and the key.
+    """
     raw = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -122,10 +136,24 @@ def load_config(path) -> ExperimentConfig:
     for key in _REQUIRED:
         if key not in raw:
             raise ValueError(f"{path}: missing required config key {key!r}")
-    sigma2 = float(raw["sigma2"])
-    rho = float(raw["rho"])
-    nu = float(raw["nu"])
-    d = int(raw["d"])
+
+    def read(key, reader, default=None):
+        """raw[key] through ``reader`` or ``default``; an error names the file and the key."""
+        if key not in raw:
+            return default
+        try:
+            return reader(raw[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: config key {key!r}: {exc}") from None
+
+    def real(text, zero=False):
+        return as_real(text, "value", zero)
+
+    def integer(least):
+        return lambda text: as_integer(_integer(text), "value", least)
+
+    sigma2, rho, nu = (read(key, real) for key in ("sigma2", "rho", "nu"))
+    d = read("d", lambda text: as_dimension(_integer(text)))
     bc_tokens = tuple(t.strip().upper() for t in raw.get("bc", "N").split(",") if t.strip())
     if not bc_tokens:
         raise ValueError(f"{path}: bc list is empty")
@@ -134,23 +162,17 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: unknown boundary token {t!r}; use D, N, P or R")
     if len(set(bc_tokens)) != len(bc_tokens):
         raise ValueError(f"{path}: duplicate boundary tokens in {bc_tokens}")
-    if "delta_list" in raw:
-        deltas = tuple(float(t) for t in raw["delta_list"].split(",") if t.strip())
-        if not deltas or any(v < 0 for v in deltas):
-            raise ValueError(f"{path}: delta_list must be nonnegative values")
-    else:
+    deltas = read("delta_list", lambda text: tuple(real(t, zero=True)
+                                                   for t in text.split(",") if t.strip()))
+    if deltas is None:
         deltas = default_delta_grid(rho)
-    n_grid = int(raw["n_grid"]) if "n_grid" in raw else default_n_grid(d, nu)
-    if n_grid < 2:
-        raise ValueError(f"{path}: n_grid must be >= 2, got {n_grid}")
-    trunc_h = float(raw["trunc_h"]) if "trunc_h" in raw else 1e-3
-    if not trunc_h > 0:
-        raise ValueError(f"{path}: trunc_h must be > 0")
-    robin_beta = float(raw["robin_beta"]) if "robin_beta" in raw else None
-    if robin_beta is not None and not robin_beta > 0:
-        raise ValueError(f"{path}: robin_beta must be > 0")
-    n_samples = int(raw.get("n_samples", "10000"))
-    seed = int(raw.get("seed", "0"))
+    elif not deltas:
+        raise ValueError(f"{path}: delta_list is empty")
+    n_grid = read("n_grid", integer(2), default_n_grid(d, nu))
+    trunc_h = read("trunc_h", real, 1e-3)
+    robin_beta = read("robin_beta", real)
+    n_samples = read("n_samples", integer(None), 10000)  # the sample verb asks for >= 2
+    seed = read("seed", integer(0), 0)
     return ExperimentConfig(sigma2=sigma2, rho=rho, nu=nu, d=d, bc=bc_tokens,
                             delta_list=deltas, n_grid=n_grid, trunc_h=trunc_h,
                             robin_beta=robin_beta, n_samples=n_samples, seed=seed)

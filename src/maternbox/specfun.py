@@ -13,8 +13,8 @@ Two independent evaluation routes for ``K_nu(x)`` live here on purpose:
   each point's own step by terms below 1e-17 of its sum; every other step
   is elementwise, and tests pin that batched and single evaluations are
   bitwise equal across all three branches.  A large batch is split into
-  fixed blocks of ``_POINT_BLOCK`` points that run on the block pool
-  (``_blocks``), which that equality makes invisible in the result;
+  fixed blocks of ``_POINT_BLOCK`` points, run one after another in the
+  calling thread, which that equality makes invisible in the result;
 * a slow quadrature route built on the integral representation
 
       K_nu(x) = (1/2) (x/2)^(-nu) * int_0^inf t^(nu-1) exp(-t - x^2/(4t)) dt,
@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._blocks import _map_blocks
 
 __all__ = [
     "BesselEval",
@@ -60,8 +58,10 @@ _SERIES_MAX = 600
 _HANKEL_FROM, _HANKEL_TERMS = 20.0, 22
 _TRAP_STEP, _TRAP_NODES = 0.16, 26
 _QUAD_REL_TOL = 1e-12
-# points per block of a pooled batch, fixed so the blocks do not follow the
-# thread count; 2^13 and 2^16 ran slower on the folded Gram's 50k distances
+# points per block of a large batch, the blocks run in turn in the caller:
+# 2^13 and 2^16 ran slower on the folded Gram's 50k distances, one unblocked
+# batch of 2e5 points 1.8-3.3 times slower, and blocks on the block pool
+# 1.2-1.4 times slower on 2e4-1e6 points of mixed x (2-core x86-64)
 _POINT_BLOCK = 2 ** 14
 
 
@@ -240,9 +240,9 @@ def log_bessel_k(nu: float, x) -> np.ndarray:
     """log K_nu(x), elementwise over x, on the fast production path.
 
     Negative orders are reflected to |nu| (K is even in the order).  A batch
-    of more than ``_POINT_BLOCK`` points is evaluated in blocks of that many
-    on the block pool; each point's value is its single-point value, so the
-    blocking does not show in the result.
+    of more than ``_POINT_BLOCK`` points is evaluated in blocks of that many,
+    in the calling thread; each point's value is its single-point value, so
+    the blocking does not show in the result.
     """
     nu = float(nu)
     if not math.isfinite(nu):
@@ -262,11 +262,9 @@ def _log_bessel_k(nu: float, xa: np.ndarray) -> np.ndarray:
     n = int(nu + 0.5)
     mu = nu - n  # |mu| <= 1/2
     flat = xa.ravel()
-    starts = range(0, flat.size, _POINT_BLOCK)
     out = np.empty_like(flat)
-    for i, part in zip(starts, _map_blocks(
-            lambda i: _log_k_block(n, mu, flat[i:i + _POINT_BLOCK]), starts)):
-        out[i:i + _POINT_BLOCK] = part
+    for i in range(0, flat.size, _POINT_BLOCK):
+        out[i:i + _POINT_BLOCK] = _log_k_block(n, mu, flat[i:i + _POINT_BLOCK])
     out = out.reshape(xa.shape)
     if not np.all(np.isfinite(out)):
         bad = xa[~np.isfinite(out)]

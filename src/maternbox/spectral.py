@@ -16,11 +16,11 @@ block is a run of whole anchors, a Robin block a run of roots, and every
 value is formed elementwise, so each row has the same bits however the
 table is blocked.  The blocks are evaluated on the package's block pool,
 one thread per CPU in the process's affinity mask, and consumed in order
-(``_blocks._map_blocks``, which the sampler's draw blocks, the folded Gram's
-row runs and the kernel's point blocks use too), so each block has the bits
-it has on one thread.  In the d = 1 modal sum each block forms its partial
-Gram V_b^T (w_b V_b) on the pool and the partials are added in block
-order, so it holds O(threads * block + points^2) values whatever kmax is;
+(``_blocks._map_blocks``, which the sampler's draw blocks and the folded
+Gram's row runs use too), so each block has the bits it has on one thread.
+In the d = 1 modal sum each block forms its partial Gram V_b^T (w_b V_b)
+on the pool and the partials are added in block order, so it holds
+O(threads * block + points^2) values whatever kmax is;
 ``mode_system``, ``eigenpair`` and the d >= 2 sums read the blocks stacked
 (``_axis_mu_values``).  In d >= 2 each axis forms its pair-product columns
 w(x) w(y) once per distinct unordered coordinate pair and sums the modes
@@ -36,12 +36,10 @@ columns, not kmax times the pairs.
 Periodic complex exponentials are realized as real cosine/sine pairs with
 matching normalization, so all arithmetic stays real.
 
-Each Robin root is settled by its own bracket, so it depends on beta L and
-its index alone (``robin_eigen_1d``): where both ends have the exact
-residual's signs, blocks of roots on the pool read the pair at which its
-bisection stops off next to Newton roots and bisect only their misses (the
-roots n < 12 are one more block, run in the caller); where an end has the
-wrong sign, Newton's root stands in if it passes a residual check.  Points
+Each Robin root is found by Newton's method climbing monotonically from
+below it (``robin_eigen_1d``), so it depends on beta L and its index alone;
+blocks of roots run on the pool, each returning its roots checked against a
+residual bound relative to their size, with their norms.  Points
 (``matern.as_points``) must lie in the closed box.
 """
 
@@ -178,8 +176,13 @@ class TruncationSpec:
 
 
 def _robin_residual(a, c: float):
-    """Normalized residual of the Robin frequency equation at a, c = h * ell."""
-    return ((a * a - c * c) * np.sin(a) - 2.0 * c * a * np.cos(a)) / (a * a + c * c)
+    """Normalized residual sin(a - 2 arctan(c / a)) of the Robin frequency equation, c = h * ell.
+
+    Formed as ((1 - t^2) sin a - 2 t cos a) / (1 + t^2), t = c / a, which
+    neither underflows at tiny c nor overflows before t^2 does.
+    """
+    t = c / a
+    return ((1.0 - t * t) * np.sin(a) - 2.0 * t * np.cos(a)) / (1.0 + t * t)
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,9 @@ class RobinEigen1D:
     """First eigenpairs of -u'' on (0, ell_axis) with u'.n + h u = 0.
 
     ``alphas`` are the ascending dimensionless roots (frequency times
-    interval length); root n lives strictly inside ((n-1) pi, n pi).
+    interval length); root n lies inside ((n-1) pi, n pi), and its computed
+    value within rounding of that: at extreme beta L it can equal
+    fl((n-1) pi) or lie one float past fl(n pi).
     ``norms`` are the squared L2 norms of the unnormalized eigenfunctions
     u_n(x) = cos(w_n x) + (h / w_n) sin(w_n x), w_n = alphas[n] / ell_axis.
     """
@@ -217,98 +222,33 @@ class RobinEigen1D:
         return out
 
 
-# roots n > _NEWTON_FROM are found by Newton's method: their brackets lie above 32
-_NEWTON_FROM = 11
-# Newton roots per block of robin_eigen_1d on the block pool
+# Newton steps a Robin root may take (it takes at most 10 from beta L = 1e-315 to 1e154)
+_NEWTON_STEPS = 32
+# fl(pi) = _PI_HEAD + _PI_TAIL, each of 24 bits, so k _PI_HEAD and k _PI_TAIL are
+# exact for integers k < 2^29; _PI_REST = fl(pi - fl(pi))
+_PI_HEAD, _PI_TAIL = 3.1415926218032837, 3.1786509424591713e-08
+_PI_REST = 1.2246467991473532e-16
+# roots per block of robin_eigen_1d on the block pool
 _ROOT_BLOCK = 2 ** 14
 
 
-def _robin_bisect(lo, hi, flo, fhi, c: float):
-    """Bisect each bracket to its own fixed point, in at most 90 steps; returns them updated.
+def _robin_newton(a, lo, err, c: float):
+    """Newton's method on F(a) = a - lo - err - 2 arctan(c / a), from a below each root.
 
-    A bracket at its fixed point stays there, so each ends as it would alone.
+    lo + err is (n-1) pi for root n.  F is increasing and concave on a > 0
+    (F' = 1 + 2c / (a^2 + c^2), F'' < 0), so each step from below the root
+    stays below it and climbs.  Each root stops at its first step that does
+    not increase it (at once where a start lies above the root), or after
+    ``_NEWTON_STEPS``; so its bits depend on its own a, lo, err and c alone.
+    Updates ``a`` in place and returns it.
     """
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        fm = _robin_residual(mid, c)
-        move_lo = np.sign(fm) == np.sign(flo)
-        new_lo = np.where(move_lo, mid, lo)
-        new_hi = np.where(move_lo, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break  # every bracket at its fixed point
-        lo, hi = new_lo, new_hi
-        flo = np.where(move_lo, fm, flo)
-        fhi = np.where(move_lo, fhi, fm)
-    return lo, hi, flo, fhi
-
-
-def _robin_newton(lo, c: float, falling):
-    """Roots of a = (n-1) pi + 2 arctan(c / a), given lo = fl((n-1) pi).
-
-    Three Newton steps on F(a) = a - lo - 2 arctan(c / a), whose slope
-    F' = 1 + 2c / (a^2 + c^2) lies in [1, 1 + 1/a] and whose curvature is
-    below 1.3 / a^2, take the start lo + pi/2 to F's root up to rounding
-    (the errors fall as pi/2, 2e-3, 2e-9, 2e-21 at a = 32).
-    F sees fl((n-1) pi), not (n-1) pi, so a last Newton step on the computed
-    residual sin(a - 2 arctan(c / a)), of slope (-1)^(n-1) F' at the root,
-    lands within a float or two of the residual's sign change.  ``falling``
-    marks the roots of even n, where that slope is negative.  For lo < 32
-    only the residual check of ``robin_eigen_1d`` vouches for the root.
-    """
-    a = lo + 0.5 * math.pi
-    f = np.empty_like(a)
-    df = np.empty_like(a)
-    for _ in range(3):
-        np.divide(c, a, out=f)
-        np.arctan(f, out=f)
-        f *= -2.0
-        f += a
-        f -= lo
-        np.multiply(a, a, out=df)
-        df += c * c
-        np.divide(2.0 * c, df, out=df)
-        df += 1.0
-        f /= df
-        a -= f
-    f = _robin_residual(a, c)
-    f /= df
-    np.negative(f, out=f, where=falling)
-    a -= f
+    for _ in range(_NEWTON_STEPS):
+        new = a - (a - lo - err - 2.0 * np.arctan(c / a)) / (1.0 + 2.0 * c / (a * a + c * c))
+        grow = new > a
+        if not grow.any():
+            break
+        np.copyto(a, new, where=grow)
     return a
-
-
-def _robin_adjacent_brackets(a, lo, hi, flo, fhi, c: float):
-    """Narrow brackets to the adjacent floats around the sign change next to a.
-
-    Takes a and its neighbour float towards the sign change of the computed
-    residual.  Where the lower float has the sign of ``flo``, the upper one
-    does not, and both lie within the closed bracket [lo, hi], the pair and
-    its residuals are written into the bracket arrays in place.  Returns where
-    they were.
-    """
-    sign_lo = np.sign(flo)
-    fa = _robin_residual(a, c)
-    up = np.sign(fa) == sign_lo  # the sign change lies above a
-    b = np.where(up, np.inf, -np.inf)
-    np.nextafter(a, b, out=b)
-    fb = _robin_residual(b, c)
-    done = (np.sign(fb) == sign_lo) != up
-    done &= np.where(up, a, b) >= lo
-    done &= np.where(up, b, a) <= hi
-    down = done & ~up
-    up &= done
-    for dst, above, below in ((lo, a, b), (flo, fa, fb), (hi, b, a), (fhi, fb, fa)):
-        np.copyto(dst, above, where=up)
-        np.copyto(dst, below, where=down)
-    return done
-
-
-def _robin_secant(lo, hi, flo, fhi):
-    """One secant step in each bracket; its midpoint where the step leaves the bracket."""
-    denom = fhi - flo
-    mid = 0.5 * (lo + hi)
-    secant = np.where(denom != 0.0, lo - flo * (hi - lo) / np.where(denom == 0, 1.0, denom), mid)
-    return np.where((secant > lo) & (secant < hi), secant, mid)
 
 
 def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
@@ -317,85 +257,63 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     The frequency equation (a^2 - c^2) sin a = 2 c a cos a, c = h*ell, is
     derived from u'(0) = h u(0), u'(ell) = -h u(ell).  Its normalized
     residual is sin(a - 2 arctan(c / a)), so root n lies in ((n-1) pi, n pi)
-    and solves a = (n-1) pi + 2 arctan(c / a).
+    and solves F(a) = a - (n-1) pi - 2 arctan(c / a) = 0.
 
-    Root n is settled by its bracket (fl((n-1) pi), fl(n pi)) alone, so it
-    depends on c and n alone.  The bracket is sound where the computed
-    residuals at its ends have the exact residual's signs, (-1)^n at
-    (n-1) pi and (-1)^(n+1) at n pi.  A sound bracket gives one secant step
-    (``_robin_secant``) in the bracket at which its bisection stops, at its
-    own fixed point or after 90 steps: an adjacent pair of floats with the
-    ends' signs (root 1 at tiny c at the step cap).  For n >= 12 the bracket
-    lies above 32 and that pair is unique: near the root the residual's
-    slope is at least 1 and its rounding error a few 2^-52, while one ulp of
-    a is at least 2^-47, so the computed residual changes sign once among
-    the floats of a sound bracket.  Newton's method (``_robin_newton``)
-    finds the pair there: the adjacent floats around its computed sign
-    change are taken where their signs match the ends' and both lie within
-    the closed bracket (``_robin_adjacent_brackets``); only the other roots,
-    the misses, are bisected.  One block function returns the finished
-    roots of the head (n < 12, run in the caller) and of each block of
-    ``_ROOT_BLOCK`` roots n >= 12 (on the block pool), and every step is
-    elementwise, so a root has the same bits in any block, count or thread.
+    F is increasing and concave on a > 0, so Newton's method started below
+    a root climbs to it monotonically (``_robin_newton``).  Root n >= 2
+    starts at lo = fl((n-1) pi), where F = -2 arctan(c / lo) up to the
+    rounding of lo, and root 1 at 0.1 sqrt(2c / (1 + c)), below its root
+    (about sqrt(2c) for small c, pi for large).  F takes (n-1) pi as lo plus
+    its rounding error (from a three-part split of pi), so a root does not
+    inherit the half ulp by which lo misses (n-1) pi.  Each root stops at
+    its first step that does not increase it, and every step is
+    elementwise, so a root depends on c and n alone, in any block, count or
+    thread.  Against 40-digit references the roots err by at most 0.86 ulp.
 
-    At tiny c a root can lie within rounding of fl((n-1) pi), and at huge c
-    (beta ell >~ 1e17) within rounding of fl(n pi), so the computed residual
-    there can have the wrong sign.  With one end wrong the bracket shows no
-    sign change; with both wrong it shows one that bisection follows to the
-    next root.  So an unsound bracket takes Newton's root (from fl((n-1) pi),
-    0 for n = 1) if its residual is at most max(1e-12, 2 ulp(a)), which a
-    correctly rounded root meets; otherwise ``ConvergenceError`` names the
-    bracket, as it is raised where (h ell)^2 overflows.
+    Every root must pass a residual check relative to its own size,
+    |r(a)| <= min(max(1e-12, 2 ulp(a)), 4 ulp(a)), r the normalized
+    residual (``_robin_residual``); a root that fails it raises
+    ``ConvergenceError`` naming the root.  Where a residual or a norm is
+    not finite (beta L above about 4e154, where (beta L / a)^2 overflows at
+    root 1, or beta L of 0 or a few subnormals) the block that finds it
+    raises ``ConvergenceError``.  Roots return for beta L from 2.2e-308 (and
+    down into the subnormals, while they pass their check) to 4e154.
 
-    Norms come from the closed form ||u_n||^2 = ell/2 (1 + (h/w)^2) + h/w^2,
-    validated elsewhere against quadrature.
+    The roots run in blocks of ``_ROOT_BLOCK`` on the block pool, each
+    returning its roots and their norms finished.  Norms come from the
+    closed form ||u_n||^2 = ell/2 (1 + (h/w)^2) + h/w^2, validated elsewhere
+    against quadrature.
     """
     h, ell_axis = as_real(h, "h"), as_real(ell_axis, "ell_axis")
     count, c = as_integer(count, "count", 1), h * ell_axis
 
     def block(first):
-        """The finished roots of the head (first = 0) or of the root block from ``first``."""
-        stop = min(first + _ROOT_BLOCK, count) if first else min(count, _NEWTON_FROM)
-        # bracket n runs from fl(n pi) (the head's first just above 0) to fl((n + 1) pi)
-        ends = np.arange(first, stop + 1, dtype=float)
-        ends *= math.pi
-        if not first:
-            ends[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            f_ends = _robin_residual(ends, c)
-        if not np.all(np.isfinite(f_ends)):
-            # (h ell)^2 overflows: said here, not as an unsound bracket whose root fails
+        """The roots n = first + 1, ... of one block and their norms, checked."""
+        k = np.arange(first, min(first + _ROOT_BLOCK, count), dtype=float)
+        lo = k * math.pi
+        err = k * _PI_HEAD - lo  # exact, and k pi - lo to about 2^-53 of itself below
+        err += k * _PI_TAIL
+        err += k * _PI_REST
+        with np.errstate(all="ignore"):  # a non-finite value is refused below
+            alphas = lo.copy()
+            if not first:
+                alphas[0] = 0.1 * math.sqrt(2.0 * c / (1.0 + c))
+            alphas = _robin_newton(alphas, lo, err, c)
+            resid = np.abs(_robin_residual(alphas, c))
+            omegas = alphas / ell_axis
+            norms = ell_axis / 2.0 * (1.0 + (h / omegas) ** 2) + h / omegas ** 2
+        if not (np.all(np.isfinite(resid)) and np.all(np.isfinite(norms))):
             raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
-        # lo and flo copied apart from hi and fhi: each is written in place
-        brackets = lo, hi, flo, fhi = ends[:-1].copy(), ends[1:], f_ends[:-1].copy(), f_ends[1:]
-        n = np.arange(first, stop)
-        falling = n % 2 == 1
-        # the exact residual is -(-1)^n at n pi and (-1)^n at (n + 1) pi
-        sound = np.where(falling, (flo > 0) & (fhi < 0), (flo < 0) & (fhi > 0))
-        newton = _robin_newton(lo, c, falling) if first else None
-        # the pair read off next to Newton's root; the head's sound brackets all miss
-        miss = np.flatnonzero(sound & ~_robin_adjacent_brackets(newton, *brackets, c)
-                              if first else sound)
-        for part, settled in zip(brackets, _robin_bisect(*(b[miss] for b in brackets), c)):
-            part[miss] = settled
-        roots = _robin_secant(*brackets)
-        stand = np.flatnonzero(~sound)
-        if stand.size:  # Newton's root where the bracket has a wrong sign
-            a = newton[stand] if first else _robin_newton(n[stand] * math.pi, c, falling[stand])
-            fail = ~(np.abs(_robin_residual(a, c)) <= np.maximum(1e-12, 2.0 * np.spacing(a)))
-            if np.any(fail):
-                i = int(n[stand[np.argmax(fail)]])
-                raise ConvergenceError(f"Robin bracket (({i} pi, {i + 1} pi)) is unsound and its "
-                                       f"Newton root fails the residual check for h*ell = {c}")
-            roots[stand] = a
-        return roots
+        ulp = np.spacing(alphas)
+        fail = ~(resid <= np.minimum(np.maximum(1e-12, 2.0 * ulp), 4.0 * ulp))
+        if np.any(fail):
+            raise ConvergenceError(f"Robin root {first + 1 + int(np.argmax(fail))} fails its "
+                                   f"residual check for h*ell = {c}")
+        return alphas, norms
 
-    # the root blocks on the pool, then the head in the caller
-    blocks = list(_map_blocks(block, range(_NEWTON_FROM, count, _ROOT_BLOCK)))
-    alphas = np.concatenate([block(0)] + blocks)
-    omegas = alphas / ell_axis
-    norms = ell_axis / 2.0 * (1.0 + (h / omegas) ** 2) + h / omegas ** 2
-    return RobinEigen1D(h=h, ell_axis=ell_axis, alphas=alphas, norms=norms)
+    alphas, norms = zip(*_map_blocks(block, range(0, count, _ROOT_BLOCK)))
+    return RobinEigen1D(h=h, ell_axis=ell_axis, alphas=np.concatenate(alphas),
+                        norms=np.concatenate(norms))
 
 
 # an entry holds 16 bytes per root (1.6 MB at kmax 1e5); a modal sum or a

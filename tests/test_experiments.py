@@ -1,6 +1,7 @@
 """Experiment runner and CLI: config parsing, table protocol, golden stability."""
 
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -76,6 +77,22 @@ def test_load_config_rejects_bad_input(tmp_path):
         load_config(_write_cfg(tmp_path, "sigma2=1\nrho=0.1\nnu=1\nd=1\nbc=D,X\n"))
     with pytest.raises(ValueError, match="key = value"):
         load_config(_write_cfg(tmp_path, "sigma2 1\nrho=0.1\nnu=1\nd=1\n"))
+    # every value through the library's readers: refused at load, naming the
+    # file and the key, not later without either
+    base = "sigma2=1\nrho=0.1\nnu=1\nd=1\n"
+    for text, key in ((base + "trunc_h=inf\n", "trunc_h"),
+                      (base + "robin_beta=inf\n", "robin_beta"),
+                      (base + "delta_list=0.1,nan\n", "delta_list"),
+                      (base.replace("rho=0.1", "rho=inf"), "rho"),
+                      (base.replace("d=1", "d=4"), "d"),
+                      (base.replace("sigma2=1", "sigma2=True"), "sigma2"),
+                      (base + "seed=-1\n", "seed"),
+                      (base + "n_grid=1\n", "n_grid"),
+                      (base + "n_grid=2.5\n", "n_grid"),
+                      (base + "n_samples=2.5\n", "n_samples")):
+        path = _write_cfg(tmp_path, text, "bad.txt")
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}: config key '{key}': "):
+            load_config(path)
 
 
 def test_robin_beta_defaults_to_kappa(tmp_path):
@@ -232,14 +249,14 @@ n_samples = 0
 GOLDEN = (
     ("sigma2=1\nrho=0.1\nnu=1\nd=1\nbc=R,D,N,P\ndelta_list=0,0.05,0.2\nn_grid=7\n"
      "trunc_h=1e-3\nseed=3\nn_samples=200\n",
-     {"cov-slice": "8b6a826bb9e1f96363e1e4bed99c29e4a31acf4299f830ecc53e4c797c59e19a",
-      "error-curve": "6859093e628e4eb3371067378fd7cd0ceed1e1212a04db2814103147cb77a920",
+     {"cov-slice": "16274a85f816f1186de9caa1456b19f2deffc26755f8d82b6e11d850124c1686",
+      "error-curve": "7c8da3449a857d3cc81ad4160ae9eb2e48f6e06756bd6c993fef60ddeb21a4c1",
       "bounds": "956f33adcf9565745acb5a5b50af746b7b5c196affb9284f3a4ae7028949a53b",
-      "sample": "12aaaab5e5f0e30efb0453b512cf5cf58594af578d59faa3f0ed31c8e1533106"}),
+      "sample": "2b64f69bc1bf4ca22b716eeb525b365c8e767ae146552ecb6363e26b973b073e"}),
     ("sigma2=1\nrho=0.1\nnu=1\nd=2\nbc=D,N,P,R\ndelta_list=0.05,0.2\nn_grid=3\n"
      "trunc_h=2e-2\nseed=5\nn_samples=200\n",
-     {"cov-slice": "fdb52435fc43fbe86642494dd2552560bfc71bf021aac0bc57c6ee768f7e6dcc",
-      "error-curve": "6ece4a5bff9d576de032c200f4c991f9b3eafd01705a1e4eeb8a5b33d70fbb15",
+     {"cov-slice": "3bc2ac358d5b0c2853aad8d057f25a10590e5a78270b75657fa96cedad00dd5d",
+      "error-curve": "f5ba5e5efe6f864e487b9e8746d6ee67f83f9b185ce6a1021ec0ba463e8369f0",
       "bounds": "e1378dde18f4ab34bd72ed1c37857dda2bf798ec4798bfea9cf3eff8386ce4ab",
       "sample": "3096b794824a73a39fe96806891947da883180895ac63e98421cc074b94501b1"}),
 )
@@ -304,7 +321,7 @@ def test_cli_end_to_end(tmp_path):
 
 
 def test_cli_reports_robin_root_failure(tmp_path):
-    # (beta L)^2 overflows, so the Robin roots cannot be bracketed
+    # (beta L)^2 overflows, so the Robin frequency equation is not finite
     cfg_path = _write_cfg(tmp_path, "sigma2=1\nrho=0.1\nnu=1\nd=1\nbc=R\nrobin_beta=1e200\n")
     res = subprocess.run(
         [sys.executable, "-m", "maternbox.cli", "cov-slice", "--config", cfg_path],

@@ -22,7 +22,6 @@ from maternbox.spectral import (
     RobinEigen1D,
     TruncationSpec,
     _robin_neumann_remainder,
-    _robin_residual,
     cov_spectral,
     cov_spectral_gram,
     eigenpair,
@@ -204,18 +203,22 @@ def test_robin_roots_bracketing_and_residuals():
 
 
 def _bisection_reference(h, ell, count):
-    """Bisection-only Robin roots, each bracket to its fixed point or 90 steps:
-    what the roots must equal bit for bit at any count."""
+    """Robin roots by bisection alone, each bracket to its fixed point or 90
+    steps, on the frequency equation's residual in its own form."""
     c = h * ell
+
+    def residual(a):
+        return ((a * a - c * c) * np.sin(a) - 2.0 * c * a * np.cos(a)) / (a * a + c * c)
+
     n = np.arange(1, count + 1, dtype=float)
     lo = (n - 1.0) * math.pi
     hi = n * math.pi
     lo[0] = min(1e-9, 0.1 * math.sqrt(2.0 * c / (1.0 + c)))
-    flo, fhi = _robin_residual(lo, c), _robin_residual(hi, c)
+    flo, fhi = residual(lo), residual(hi)
     assert not np.any(np.sign(flo) == np.sign(fhi))
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        fm = _robin_residual(mid, c)
+        fm = residual(mid)
         move_lo = np.sign(fm) == np.sign(flo)
         new_lo = np.where(move_lo, mid, lo)
         new_hi = np.where(move_lo, hi, mid)
@@ -227,66 +230,167 @@ def _bisection_reference(h, ell, count):
     denom = fhi - flo
     secant = np.where(denom != 0.0, lo - flo * (hi - lo) / np.where(denom == 0, 1.0, denom),
                       0.5 * (lo + hi))
-    alphas = np.where((secant > lo) & (secant < hi), secant, 0.5 * (lo + hi))
-    omegas = alphas / ell
-    norms = ell / 2.0 * (1.0 + (h / omegas) ** 2) + h / omegas ** 2
-    return alphas, norms
+    return np.where((secant > lo) & (secant < hi), secant, 0.5 * (lo + hi))
 
 
-def test_robin_roots_bitwise_equal_bisection(monkeypatch):
-    bisected = []
-    bisect = spectral._robin_bisect
+def _norms(eig):
+    """The closed-form norms of an eigensystem's own roots."""
+    omegas = eig.alphas / eig.ell_axis
+    return eig.ell_axis / 2.0 * (1.0 + (eig.h / omegas) ** 2) + eig.h / omegas ** 2
 
-    def counting_bisect(lo, *rest):
-        bisected.append(lo.size)
-        return bisect(lo, *rest)
 
-    monkeypatch.setattr(spectral, "_robin_bisect", counting_bisect)
+def test_robin_roots_within_two_ulps_of_bisection():
     ell = 1.2
-    # counts one below, at and one above the first root block's edge
-    edge = spectral._NEWTON_FROM + spectral._ROOT_BLOCK
     configs = [(bl, count) for bl in (1e-4, 1e-2, 1.0, 12.0, 1e3, 1e6)
-               for count in (1, 6, 7, 11, 12, 13, 1001, edge - 1, edge, edge + 1)]
-    # roots near n pi, and a root 12 within an ulp of fl(11 pi), whose pair
-    # touches an end of the bracket; root 1 at the 90-step cap
-    edges = [(1e16, 1001), (1e-20, 12), (1e-40, 12)]
-    for bl, count in configs + [(12.0, 100001)] + edges:
-        bisected.clear()
+               for count in (1, 6, 7, 11, 12, 13, 1001, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1)]
+    # roots near n pi, and a root 12 within an ulp of fl(11 pi)
+    for bl, count in configs + [(12.0, 100001), (1e16, 1001), (1e-20, 12)]:
         eig = robin_eigen_1d(bl / ell, ell, count)
-        alphas, norms = _bisection_reference(bl / ell, ell, count)
-        assert np.array_equal(eig.alphas, alphas), (bl, count)
-        assert np.array_equal(eig.norms, norms), (bl, count)
-        # each block bisects its own misses: the head's roots n < 12 and, with
-        # every pair of the roots n >= 12 read off in the closed bracket, none
-        # of the root blocks' roots
-        head = min(count, spectral._NEWTON_FROM)
-        assert len(bisected) == 1 + len(range(head, count, spectral._ROOT_BLOCK))
-        assert sum(bisected) == head, (bl, count, bisected)
+        ref = _bisection_reference(bl / ell, ell, count)
+        assert np.all(np.abs(eig.alphas - ref) <= 2.0 * np.spacing(ref)), (bl, count)
+        assert np.array_equal(eig.norms, _norms(eig)), (bl, count)
 
 
-def test_robin_roots_off_their_pair_are_bisected(monkeypatch):
-    newton = spectral._robin_newton
+def _root_reference(c, n):
+    """Root n of the rule of robin_eigen_1d, alone in one-element arrays: Newton's
+    method on a - (n-1) pi - 2 arctan(c / a) from below, to its first step that
+    does not increase it."""
+    k = np.array([n - 1.0])
+    lo = k * math.pi
+    err = k * 3.1415926218032837 - lo  # pi's three parts, so k pi - lo
+    err += k * 3.1786509424591713e-08
+    err += k * 1.2246467991473532e-16
+    a = np.array([0.1 * math.sqrt(2.0 * c / (1.0 + c))]) if n == 1 else lo.copy()
+    for _ in range(32):
+        new = a - (a - lo - err - 2.0 * np.arctan(c / a)) / (1.0 + 2.0 * c / (a * a + c * c))
+        if not new[0] > a[0]:
+            break
+        a = new
+    return a[0]
 
-    def off_by_three_floats(lo, c, falling):
-        a = newton(lo, c, falling)
-        a[::3] += 3.0 * np.spacing(a[::3])
-        a[1::3] -= 3.0 * np.spacing(a[1::3])
-        return a
 
-    monkeypatch.setattr(spectral, "_robin_newton", off_by_three_floats)
-    for bl, count in ((1e-3, 200), (12.0, 1001), (1e6, 200)):
-        eig = robin_eigen_1d(bl / 1.2, 1.2, count)
-        alphas, norms = _bisection_reference(bl / 1.2, 1.2, count)
-        assert np.array_equal(eig.alphas, alphas), (bl, count)
-        assert np.array_equal(eig.norms, norms), (bl, count)
+def test_robin_roots_bitwise_equal_per_root_reference(block_pool):
+    # each root is its own Newton climb: the same bits alone as in a block
+    # of any count, on one worker or three
+    rng = np.random.default_rng(7)
+    edge = spectral._ROOT_BLOCK
+    for workers in (1, 3):
+        block_pool(workers)
+        for bl in (1e-300, 1e-200, 1e-100, 1e-60, 1e-20, 1e-6, 0.3, 12.0, 1e4, 1e16, 1e19,
+                   1e100, 1e153):
+            for count in (1, 12, 13, edge - 1, edge + 1):
+                eig = robin_eigen_1d(bl, 1.0, count)
+                some = set(range(1, min(count, 13) + 1)) | set(range(max(1, count - 2), count + 1))
+                if count > 13:
+                    some |= set(rng.integers(14, count - 2, 20).tolist())
+                for n in sorted(some):
+                    assert eig.alphas[n - 1] == _root_reference(bl, n), (workers, bl, count, n)
+                assert np.array_equal(eig.norms, _norms(eig))
+
+
+# root n of a = (n-1) pi + 2 arctan(c / a) at c = beta L, for n = 1, 2, 13, 39
+# and 16385, to 40 digits (mpmath at 60 digits; c is the exact value of the
+# float); fl(38 pi) misses 38 pi by 0.83 ulp
+_ROOTS_40 = {
+    1e-300: ("1.414213562373095066521142491262258037508e-150",
+             "3.141592653589793238462643383279502884197",
+             "37.69911184307751886155172059935403461037",
+             "119.3805208364121430615804485646211095995",
+             "51471.85403641517241897194919165137525469"),
+    1e-200: ("1.414213562373095036144662885141293775617e-100",
+             "3.141592653589793238462643383279502884197",
+             "37.69911184307751886155172059935403461037",
+             "119.3805208364121430615804485646211095995",
+             "51471.85403641517241897194919165137525469"),
+    1e-100: ("1.414213562373095062938096643432197881768e-50",
+             "3.141592653589793238462643383279502884197",
+             "37.69911184307751886155172059935403461037",
+             "119.3805208364121430615804485646211095995",
+             "51471.85403641517241897194919165137525469"),
+    1e-60: ("1.41421356237309502789499056099016063375e-30",
+            "3.141592653589793238462643383279502884197",
+            "37.69911184307751886155172059935403461037",
+            "119.3805208364121430615804485646211095995",
+            "51471.85403641517241897194919165137525469"),
+    1e-40: ("1.414213562373094998804204269689920007722e-20",
+            "3.141592653589793238462643383279502884197",
+            "37.69911184307751886155172059935403461037",
+            "119.3805208364121430615804485646211095995",
+            "51471.85403641517241897194919165137525469"),
+    1e-20: ("0.0000000001414213562373095010018016532281517646027",
+            "3.141592653589793238469009581003178697279",
+            "37.69911184307751886155225111583100759479",
+            "119.3805208364121430615806160961401536998",
+            "51471.85403641517241897194919203993712747"),
+    1e-6: ("0.001414213444521975622065530857971618775974",
+           "3.141593290209436599937008038896714899476",
+           "37.69911189612916648419382151587809962986",
+           "119.3805208531652949636394451130310697099",
+           "51471.8540364152112751592274863799935344"),
+    0.01: ("0.1413036130776464653931113603481535655253",
+           "3.147945981392604978282186856100377683307",
+           "37.69964235207662696578811236275874678371",
+           "119.3806883676956922197506153633283994995",
+           "51471.85403680373429175195864809627051197"),
+    1.0: ("1.306542374188806202228727831923118284841",
+          "3.673194406304251445502605004882020631637",
+          "37.75207667597170651357490734838026786977",
+          "119.3972712463352448647699478481622842128",
+          "51471.85407527135966304534265479150323857"),
+    12.0: ("2.699105647433228363047626030937575103709",
+           "5.432919495372254650468441556272570424007",
+           "38.30627443896577969853454454841020908127",
+           "119.5805527023505191329805899001958246215",
+           "51471.85450268940708682665730398385316928"),
+    1e3: ("3.135322030076839238074253962855173398082",
+          "6.270644183187909273835810558886251879095",
+          "40.75923113207144497640029993278827237147",
+          "122.2787640250425638252950632373892792768",
+          "51471.89288768547316183437702516461909171"),
+    1e6: ("3.14158637041705242502852042170551092228",
+          "6.283172740834104974081155365045337466948",
+          "40.84062281542172667014840724683750034817",
+          "122.5218684462662699343527624965500738732",
+          "51474.89277006640568331310987644737106307"),
+    1e16: ("3.141592653589792610144112665320980855375",
+           "6.283185307179585220288225330641961710749",
+           "40.84070449666730393187346464917275111987",
+           "122.5221134900019117956203939475182533596",
+           "51474.9956290687519172112860212842713154"),
+    1e19: ("3.14159265358979323783432485256154423663",
+           "6.283185307179586475668649705123088473261",
+           "40.84070449666731209184622308330007507619",
+           "122.5221134900019362755386692499002252286",
+           "51474.99562906876220191541270922090231719"),
+    1e100: ("3.141592653589793238462643383279502884197",
+            "6.283185307179586476925286766559005768394",
+            "40.84070449666731210001436398263353749456",
+            "122.5221134900019363000430919479006124837",
+            "51474.99562906876221221041183503465475757"),
+    1e153: ("3.141592653589793238462643383279502884197",
+            "6.283185307179586476925286766559005768394",
+            "40.84070449666731210001436398263353749456",
+            "122.5221134900019363000430919479006124837",
+            "51474.99562906876221221041183503465475757"),
+}
+
+
+def test_robin_roots_match_40_digit_references():
+    from fractions import Fraction
+
+    for bl, refs in _ROOTS_40.items():
+        eig = robin_eigen_1d(bl, 1.0, 16385)
+        for n, ref in zip((1, 2, 13, 39, 16385), refs):
+            a = eig.alphas[n - 1]
+            ulps = abs(Fraction(a) - Fraction(ref)) / Fraction(np.spacing(a))
+            assert ulps <= Fraction(11, 10), (bl, n, float(ulps))
 
 
 def test_robin_roots_do_not_depend_on_count():
-    # each root is settled by its own bracket, at its own fixed point or by
-    # Newton's root where that bracket has a wrong sign, so a short solve
-    # gives the first roots of a long one, bit for bit, at the edges too
+    # each root is its own Newton climb, so a short solve gives the first
+    # roots of a long one, bit for bit, at the edges too
     ell = 1.2
-    edges = [1e-40, 1e-30, 1e-20, 1e-12, 1e-9, 1e16, 1e17, 1e19, 1e100]
+    edges = [1e-300, 1e-100, 1e-40, 1e-30, 1e-20, 1e-12, 1e-9, 1e16, 1e17, 1e19, 1e100]
     for bl in list(np.geomspace(1e-8, 1e8, 41)) + edges:
         full = robin_eigen_1d(bl / ell, ell, 16400)
         for count in range(1, 14):
@@ -297,8 +401,9 @@ def test_robin_roots_do_not_depend_on_count():
 
 def test_eigenpair_robin_rows_match_mode_system():
     # each axis factor of eigenpair is one row of the mode table that the
-    # modal sums use, bit for bit, however few modes it asks for; beta L of
-    # 1e-40 to 1e19 has brackets with a wrong sign (box length 1.2)
+    # modal sums use, bit for bit, however few modes it asks for; at the
+    # edges (beta L of 1e-40, 1e-20, 1e17 and 1e19, box length 1.2) roots lie
+    # within rounding of a multiple of pi
     edges = [bl / 1.2 for bl in (1e-40, 1e-20, 1e17, 1e19)]
     for d, kmax, betas in ((1, 20, list(np.geomspace(1e-3, 1e3, 17)) + edges),
                            (1, 16400, edges), (2, 8, np.geomspace(1e-3, 1e3, 5))):
@@ -314,12 +419,12 @@ def test_eigenpair_robin_rows_match_mode_system():
                 assert lam_k == lam[row], (beta, k)
                 assert np.array_equal(w(pts), W[row]), (beta, k)
 
+def _check_edge_roots(bl, count):
+    """Roots where the bisection has no answer: ascending, within rounding of
+    their intervals and passing the residual check of robin_eigen_1d.
 
-def _check_newton_stand_ins(bl, count):
-    """Roots that pass the residual check where the bisection has no answer.
-
-    A correctly rounded root may lie one float beyond fl(n pi), which is
-    itself rounded.
+    A correctly rounded root may equal fl((n-1) pi) or lie one float beyond
+    fl(n pi), which are themselves rounded.
     """
     eig = robin_eigen_1d(bl / 1.2, 1.2, count)
     a = eig.alphas
@@ -327,15 +432,17 @@ def _check_newton_stand_ins(bl, count):
     assert np.all(np.diff(a) > 0)
     assert np.all(a[1:] >= np.nextafter((n[1:] - 1) * math.pi, -np.inf))
     assert np.all(a <= np.nextafter(n * math.pi, np.inf))
-    limit = np.maximum(1e-12, 2.0 * np.spacing(a))
+    ulp = np.spacing(a)
+    limit = np.minimum(np.maximum(1e-12, 2.0 * ulp), 4.0 * ulp)
     assert np.all(np.abs(eig.eigenvalue_residual()) <= limit)
     with pytest.raises(AssertionError):  # the bisection alone has no answer
         _bisection_reference(bl / 1.2, 1.2, count)
 
 
 def test_robin_roots_hold_no_count_size_brackets(block_pool):
-    # each block returns its roots finished: four count-size bracket arrays
-    # and a secant step over them would add more than 3 MB at this count
+    # each block returns its roots and norms finished: four count-size
+    # bracket arrays and a secant step over them would add more than 3 MB at
+    # this count
     import tracemalloc
 
     for workers in (1, 3):
@@ -350,12 +457,10 @@ def test_robin_roots_hold_no_count_size_brackets(block_pool):
             tracemalloc.stop()
         assert peak <= 6.5e6, (workers, peak)
 
-
-def test_robin_head_runs_in_the_caller(block_pool):
-    # the roots n < 12 are one more block, run in the caller; a single root
-    # block runs there too, and only two or more go to the pool
+def test_robin_single_root_block_runs_in_the_caller(block_pool):
+    # one block of roots runs in the caller; only two or more go to the pool
     pool = block_pool(3)
-    edge = spectral._NEWTON_FROM + spectral._ROOT_BLOCK
+    edge = spectral._ROOT_BLOCK
     for count, submitted in ((1001, 0), (edge, 0), (edge + 1, 2)):
         pool.submitted = 0
         robin_eigen_1d(2.5, 1.2, count)
@@ -369,7 +474,7 @@ def test_robin_root_block_error_leaves_no_queued_work(block_pool, monkeypatch):
     futures = []
     submit = pool.submit
     monkeypatch.setattr(pool, "submit", lambda *args: futures.append(submit(*args)) or futures[-1])
-    count = spectral._NEWTON_FROM + 6 * spectral._ROOT_BLOCK
+    count = 6 * spectral._ROOT_BLOCK
     with pytest.raises(ConvergenceError, match="not finite") as err:
         robin_eigen_1d(1e155 / 1.2, 1.2, count)
     assert any(entry.name == "_run_block" for entry in err.traceback)
@@ -378,44 +483,70 @@ def test_robin_root_block_error_leaves_no_queued_work(block_pool, monkeypatch):
 
 
 def test_robin_roots_for_tiny_beta_and_many_modes():
-    # a root within rounding of fl((n-1) pi) leaves its bracket without a
-    # computed sign change; Newton's root stands in for roots n >= 12
+    # roots within rounding of fl((n-1) pi), where the computed residual at
+    # the bracket ends can have the wrong sign
     for bl, count in ((1.2e-6, 120002), (1e-6, 100001), (1e-9, 10001), (1e-30, 1000)):
-        _check_newton_stand_ins(bl, count)
+        _check_edge_roots(bl, count)
 
 
-@pytest.mark.parametrize("bl,count", [(1e-30, 1000), (1e19, 11)])
-def test_robin_stand_in_failing_its_residual_check_raises(monkeypatch, bl, count):
-    # a bracket with a wrong sign at an end takes Newton's root only if that
-    # root passes the residual check; here one stand-in (in a root block at
-    # tiny beta L, in the head at huge beta L) is moved off its root
-    c = bl / 1.2 * 1.2
-    n = np.arange(1, count)  # the brackets (n pi, (n + 1) pi) above the first
-    flo, fhi = _robin_residual(n * math.pi, c), _robin_residual((n + 1) * math.pi, c)
-    # the exact residual is -(-1)^n at n pi and (-1)^n at (n + 1) pi
-    wrong = np.where(n % 2 == 1, (flo <= 0) | (fhi >= 0), (flo >= 0) | (fhi <= 0))
-    i = int(n[wrong][-1])
+@pytest.mark.parametrize("bl,count,n,factor", [
+    (1e-100, 3, 1, 10.0),  # root 1 ten times too large at tiny beta L
+    (12.0, 2 ** 14 + 20, 2 ** 14 + 5, 1.0 + 1e-9),  # in the second root block
+    (1e19, 11, 7, 1.0 + 1e-14),  # 53 ulp off: within 1e-12, not within 4 ulp
+])
+def test_robin_root_failing_its_residual_check_raises(monkeypatch, bl, count, n, factor):
+    # every root passes a residual check relative to its size: one root moved
+    # off by a patched Newton method raises, naming the root
     newton = spectral._robin_newton
 
-    def one_root_off(lo, c, falling):
-        a = newton(lo, c, falling)
-        a[lo == i * math.pi] += 1e-6
+    def one_root_moved(a, lo, err, c):
+        a = newton(a, lo, err, c)
+        a[lo == (n - 1) * math.pi] *= factor
         return a
 
-    monkeypatch.setattr(spectral, "_robin_newton", one_root_off)
-    with pytest.raises(ConvergenceError, match=rf"\(\({i} pi, {i + 1} pi\)\)"):
-        robin_eigen_1d(bl / 1.2, 1.2, count)
+    monkeypatch.setattr(spectral, "_robin_newton", one_root_moved)
+    with pytest.raises(ConvergenceError, match=rf"Robin root {n} fails its residual check"):
+        robin_eigen_1d(bl, 1.0, count)
 
 
 def test_robin_roots_for_huge_beta():
-    # the stiff limit: roots within rounding of fl(n pi), so brackets n < 12
-    # show no computed sign change either; Newton's root stands in there too,
-    # up to where (beta L)^2 overflows, without a warning
+    # the stiff limit: roots within rounding of fl(n pi), up to where
+    # (beta L)^2 overflows, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bl, count in ((1e17, 1), (1e17, 1001), (1e19, 11), (1e19, 100001),
                           (1e100, 3), (1e100, 13), (1.2e150, 1001)):
-            _check_newton_stand_ins(bl, count)
+            _check_edge_roots(bl, count)
+
+
+def test_robin_roots_warn_nowhere_and_refuse_beyond_their_range():
+    # beta L from the smallest normal float to 1.3e154: roots and finite
+    # norms, no warning; beta L of 0 (h ell underflows), 5e-324 or 1e155: an
+    # error, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bl in np.geomspace(2.2250738585072014e-308, 1.3e154, 60):
+            eig = robin_eigen_1d(bl, 1.0, 50)
+            assert np.all(np.isfinite(eig.norms)) and np.all(np.diff(eig.alphas) > 0), bl
+        for h, ell in ((1e-200, 1e-200), (5e-324, 1.0), (1e155, 1.0)):
+            with pytest.raises(ConvergenceError):
+                robin_eigen_1d(h, ell, 50)
+
+
+@pytest.mark.parametrize("d,kmax", [(1, 1000), (2, 200)])
+def test_robin_gram_at_tiny_beta_is_the_neumann_gram(d, kmax):
+    # beta -> 0 is the Neumann limit: the Robin Gram lies within its tail plus
+    # the folded tail of the exact Neumann Gram (with root 1 ten times too
+    # large the d = 1 Gram missed by 0.54 and the d = 2 Gram by 2.29)
+    p = derive_params(1.0, 0.3, 1.0, d)
+    box = BoxDomain.cubic(0.2, 1.0, d)
+    axis = np.linspace(0.1, 1.1, 5 if d == 1 else 3)
+    pts = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d)
+    ref, ref_tail = cov_folded_gram(p, box, "neumann", pts)
+    for beta in (1e-60, 1e-100, 1e-200, 1e-300):
+        gram, tail = cov_spectral_gram(p, BoundarySpec.robin(beta), box, pts,
+                                       TruncationSpec(kmax))
+        assert np.max(np.abs(gram - ref)) <= tail + ref_tail, (d, beta)
 
 
 def test_robin_limits():
@@ -887,10 +1018,10 @@ def _joined(fn, timeout=120.0):
 # roots a block), Neumann over 5 (30 anchors of 142 modes), periodic over 10
 # (15 anchors); d = 2 periodic and Robin Grams at kmax 500 over 4 weight row
 # blocks (130 rows); Robin roots over 3 and 4 root blocks, one below, at and
-# one above a block edge, and with Newton's stand-ins at tiny and huge
-# beta L; a periodic ensemble over 3 draw blocks (201 modes: 256 draws a
-# block); folded Grams whose rows split into one run per worker (d = 2
-# Neumann, d = 3 Dirichlet); and a kernel batch of 3 point blocks
+# one above a block edge, and at tiny and huge beta L; a periodic ensemble
+# over 3 draw blocks (201 modes: 256 draws a block); folded Grams whose rows
+# split into one run per worker (d = 2 Neumann, d = 3 Dirichlet); and a
+# kernel batch of 3 point blocks, which run in the caller
 _P1 = derive_params(1.0, 0.1, 0.5, 1)
 _BOX1 = BoxDomain.cubic(0.2, 1.0, 1)
 _PTS1 = np.linspace(0.1, 1.1, 15)[:, None]
@@ -898,7 +1029,7 @@ _P2, _P3 = derive_params(1.0, 1.0, 1.0, 2), derive_params(1.0, 0.5, 1.0, 3)
 _PTS2 = np.linspace(0.1, 1.1, 12).reshape(6, 2)
 _PTS3 = np.linspace(0.1, 1.1, 12).reshape(4, 3)
 _X = np.linspace(0.01, 60.0, 3 * specfun._POINT_BLOCK)
-_EDGE = spectral._NEWTON_FROM + 3 * spectral._ROOT_BLOCK
+_EDGE = 3 * spectral._ROOT_BLOCK
 _ROOTS = [(2.5, _EDGE - 1), (2.5, _EDGE), (2.5, _EDGE + 1), (1e-30, _EDGE + 1),
           (1e150, _EDGE + 1)]
 
@@ -948,10 +1079,10 @@ def test_one_and_three_worker_pools_agree_bitwise(block_pool):
     pool = block_pool(3)
     pooled = _joined(_pooled_work)
     # Robin, Neumann and periodic mode blocks, twice 4 weight row blocks,
-    # root blocks, draw blocks, 3 row runs per folded Gram (each from
-    # distances to row sums), and kernel blocks
+    # root blocks, draw blocks and 3 row runs per folded Gram (each from
+    # distances to row sums)
     assert serial_pool.submitted == 0
-    assert pool.submitted >= 5 + 5 + 10 + 2 * 4 + (3 + 3 + 4 * 3) + 3 + 2 * 3 + 3
+    assert pool.submitted >= 5 + 5 + 10 + 2 * 4 + (3 + 3 + 4 * 3) + 3 + 2 * 3
     _assert_same_work(serial, pooled)
 
 
