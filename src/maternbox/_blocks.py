@@ -3,7 +3,7 @@
 Every pooled computation in the package goes through ``_map_blocks``: the
 sampler's draw blocks, the mode-table blocks (in d = 1 each with its
 partial modal Gram), the d >= 2 modal weight row blocks, the Robin root
-blocks (each returning its roots and norms finished) and the folded Gram's
+blocks (each returning its roots, checked) and the folded Gram's
 row runs (each from image distances through the kernel to exact row sums).
 The kernel's point blocks run in turn in their caller's thread, on the pool
 only inside such a row run.  Each block is computed exactly as it would be

@@ -23,24 +23,18 @@ on the pool and the partials are added in block order, so it holds
 O(threads * block + points^2) values whatever kmax is;
 ``mode_system``, ``eigenpair`` and the d >= 2 sums read the blocks stacked
 (``_axis_mu_values``).  In d >= 2 each axis forms its pair-product columns
-w(x) w(y) once per distinct unordered coordinate pair and sums the modes
-that share an eigenvalue (periodic cos_k and sin_k) into one row; the
-modal sum contracts the first two axes as a matrix product over those
-distinct columns, one row and column per eigenvalue, formed in blocks of
-rows on the pool, then dots the distinct (axis 1, axis 2) column
-combinations the Gram pairs read, a chunk of about ``_BLOCK_VALUES``
-values at a time, and sums the remaining axes eigenvalue by eigenvalue
-(``_axis_pair_columns``).  Its memory grows like kmax times the distinct
-columns, not kmax times the pairs.
-
-Periodic complex exponentials are realized as real cosine/sine pairs with
-matching normalization, so all arithmetic stays real.
+w(x) w(y) once per distinct unordered coordinate pair, one row per
+eigenvalue (``_axis_pair_columns``), and the modal sum contracts them axis
+by axis (``_plain_gram``), so its memory grows like kmax times the distinct
+columns, not kmax times the pairs.  Periodic complex exponentials are
+realized as real cosine/sine pairs with matching normalization, so all
+arithmetic stays real.
 
 Each Robin root is found by Newton's method climbing monotonically from
 below it (``robin_eigen_1d``), so it depends on beta L and its index alone;
 blocks of roots run on the pool, each returning its roots checked against a
-residual bound relative to their size, with their norms.  Points
-(``matern.as_points``) must lie in the closed box.
+residual bound relative to their size.  The roots are all the Robin state
+(``RobinEigen1D``).  Points (``matern.as_points``) must lie in the closed box.
 """
 
 from __future__ import annotations
@@ -189,37 +183,52 @@ def _robin_residual(a, c: float):
 class RobinEigen1D:
     """First eigenpairs of -u'' on (0, ell_axis) with u'.n + h u = 0.
 
-    ``alphas`` are the ascending dimensionless roots (frequency times
-    interval length); root n lies inside ((n-1) pi, n pi), and its computed
-    value within rounding of that: at extreme beta L it can equal
-    fl((n-1) pi) or lie one float past fl(n pi).
-    ``norms`` are the squared L2 norms of the unnormalized eigenfunctions
-    u_n(x) = cos(w_n x) + (h / w_n) sin(w_n x), w_n = alphas[n] / ell_axis.
+    ``alphas``, the only stored state, are the ascending dimensionless roots
+    (frequency times interval length); root n lies inside ((n-1) pi, n pi),
+    and its computed value within rounding of that: at extreme beta L it can
+    equal fl((n-1) pi) or lie one float past fl(n pi).  With w = alpha /
+    ell_axis and t = h / w = c / alpha, c = h ell_axis, the eigenfunction
+    u(x) = cos(w x) + t sin(w x) = sqrt(1 + t^2) cos(w x - arctan t)
+    (``evaluate``) has the squared L2 norm ``norms``, and the orthonormal
+    mode is A cos(w x - arctan t) (``_robin_amplitude``).
     """
 
     h: float
     ell_axis: float
     alphas: np.ndarray
-    norms: np.ndarray
 
     @property
     def omegas(self) -> np.ndarray:
         return self.alphas / self.ell_axis
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Squared L2 norms ell/2 (1 + (h/w)^2) + h/w^2 of the eigenfunctions u."""
+        omegas = self.omegas
+        return self.ell_axis / 2.0 * (1.0 + (self.h / omegas) ** 2) + self.h / omegas ** 2
 
     def eigenvalue_residual(self) -> np.ndarray:
         """Normalized residual of the frequency equation at the roots."""
         return _robin_residual(self.alphas, self.h * self.ell_axis)
 
     def evaluate(self, x) -> np.ndarray:
-        """Unnormalized eigenfunction values, shape (count, len(x))."""
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        w = self.omegas[:, None]
-        wx = w * xa[None, :]
-        out = np.cos(wx)
-        np.sin(wx, out=wx)
-        wx *= self.h / w
-        out += wx
-        return out
+        """Values of the eigenfunctions u, shape (count, len(x))."""
+        c, x = self.h * self.ell_axis, np.atleast_1d(np.asarray(x, float))
+        return _robin_modes(self.alphas, self.ell_axis, c, x, np.hypot(1.0, c / self.alphas))
+
+
+def _robin_modes(alphas, ell_axis: float, c: float, x, amp) -> np.ndarray:
+    """amp cos(w x - arctan(c / alpha)), w = alpha / ell_axis: a row per root, a column per x."""
+    ang = np.multiply.outer(x, alphas / ell_axis)
+    ang -= np.arctan(c / alphas)
+    np.cos(ang, out=ang)
+    ang *= amp
+    return ang.T
+
+
+def _robin_amplitude(alphas, ell_axis: float, c: float) -> np.ndarray:
+    """A^2 = (1 + (c/a)^2) / ||u||^2 = (2/L) / (1 + 2c / (a^2 + c^2)); an inf c^2 is harmless."""
+    return np.sqrt(2.0 / ell_axis / (1.0 + 2.0 * c / (alphas * alphas + c * c)))
 
 
 # Newton steps a Robin root may take (it takes at most 10 from beta L = 1e-315 to 1e154)
@@ -233,15 +242,10 @@ _ROOT_BLOCK = 2 ** 14
 
 
 def _robin_newton(a, lo, err, c: float):
-    """Newton's method on F(a) = a - lo - err - 2 arctan(c / a), from a below each root.
+    """Newton's method on F(a) = a - lo - err - 2 arctan(c / a), lo + err = (n-1) pi.
 
-    lo + err is (n-1) pi for root n.  F is increasing and concave on a > 0
-    (F' = 1 + 2c / (a^2 + c^2), F'' < 0), so each step from below the root
-    stays below it and climbs.  Each root stops at its first step that does
-    not increase it (at once where a start lies above the root), or after
-    ``_NEWTON_STEPS``; so its bits depend on its own a, lo, err and c alone.
-    Updates ``a`` in place and returns it.
-    """
+    Each root climbs from below (``robin_eigen_1d``) to its first step that
+    does not increase it, or ``_NEWTON_STEPS``.  Updates ``a`` in place and returns it."""
     for _ in range(_NEWTON_STEPS):
         new = a - (a - lo - err - 2.0 * np.arctan(c / a)) / (1.0 + 2.0 * c / (a * a + c * c))
         grow = new > a
@@ -259,10 +263,10 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     residual is sin(a - 2 arctan(c / a)), so root n lies in ((n-1) pi, n pi)
     and solves F(a) = a - (n-1) pi - 2 arctan(c / a) = 0.
 
-    F is increasing and concave on a > 0, so Newton's method started below
-    a root climbs to it monotonically (``_robin_newton``).  Root n >= 2
-    starts at lo = fl((n-1) pi), where F = -2 arctan(c / lo) up to the
-    rounding of lo, and root 1 at 0.1 sqrt(2c / (1 + c)), below its root
+    F is increasing and concave on a > 0 (F' = 1 + 2c / (a^2 + c^2),
+    F'' < 0), so Newton's method started below a root stays below it and
+    climbs to it monotonically (``_robin_newton``).  Root n >= 2 starts at
+    lo = fl((n-1) pi), root 1 at 0.1 sqrt(2c / (1 + c)), below its root
     (about sqrt(2c) for small c, pi for large).  F takes (n-1) pi as lo plus
     its rounding error (from a three-part split of pi), so a root does not
     inherit the half ulp by which lo misses (n-1) pi.  Each root stops at
@@ -270,25 +274,20 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     elementwise, so a root depends on c and n alone, in any block, count or
     thread.  Against 40-digit references the roots err by at most 0.86 ulp.
 
-    Every root must pass a residual check relative to its own size,
-    |r(a)| <= min(max(1e-12, 2 ulp(a)), 4 ulp(a)), r the normalized
-    residual (``_robin_residual``); a root that fails it raises
-    ``ConvergenceError`` naming the root.  Where a residual or a norm is
-    not finite (beta L above about 4e154, where (beta L / a)^2 overflows at
-    root 1, or beta L of 0 or a few subnormals) the block that finds it
-    raises ``ConvergenceError``.  Roots return for beta L from 2.2e-308 (and
-    down into the subnormals, while they pass their check) to 4e154.
-
-    The roots run in blocks of ``_ROOT_BLOCK`` on the block pool, each
-    returning its roots and their norms finished.  Norms come from the
-    closed form ||u_n||^2 = ell/2 (1 + (h/w)^2) + h/w^2, validated elsewhere
-    against quadrature.
+    One rule refuses: a root whose normalized residual r (``_robin_residual``)
+    misses |r(a)| <= min(max(1e-12, 2 ulp(a)), 4 ulp(a)) raises
+    ``ConvergenceError``, naming the root, or saying "not finite" where r is
+    (beta L above about 4e154, where (beta L / a)^2 overflows at root 1, or
+    beta L of 0 or a few subnormals).  Roots return for beta L from 2.2e-308
+    (and into the subnormals, while they pass) to 4e154.  They run in blocks of
+    ``_ROOT_BLOCK`` on the block pool, each returning its roots; the rest is
+    closed form in them (``RobinEigen1D``).
     """
     h, ell_axis = as_real(h, "h"), as_real(ell_axis, "ell_axis")
     count, c = as_integer(count, "count", 1), h * ell_axis
 
     def block(first):
-        """The roots n = first + 1, ... of one block and their norms, checked."""
+        """The roots n = first + 1, ... of one block, checked."""
         k = np.arange(first, min(first + _ROOT_BLOCK, count), dtype=float)
         lo = k * math.pi
         err = k * _PI_HEAD - lo  # exact, and k pi - lo to about 2^-53 of itself below
@@ -300,24 +299,20 @@ def robin_eigen_1d(h: float, ell_axis: float, count: int) -> RobinEigen1D:
                 alphas[0] = 0.1 * math.sqrt(2.0 * c / (1.0 + c))
             alphas = _robin_newton(alphas, lo, err, c)
             resid = np.abs(_robin_residual(alphas, c))
-            omegas = alphas / ell_axis
-            norms = ell_axis / 2.0 * (1.0 + (h / omegas) ** 2) + h / omegas ** 2
-        if not (np.all(np.isfinite(resid)) and np.all(np.isfinite(norms))):
+        if not np.all(np.isfinite(resid)):
             raise ConvergenceError(f"Robin frequency equation not finite for h*ell = {c}")
         ulp = np.spacing(alphas)
         fail = ~(resid <= np.minimum(np.maximum(1e-12, 2.0 * ulp), 4.0 * ulp))
         if np.any(fail):
             raise ConvergenceError(f"Robin root {first + 1 + int(np.argmax(fail))} fails its "
                                    f"residual check for h*ell = {c}")
-        return alphas, norms
+        return alphas
 
-    alphas, norms = zip(*_map_blocks(block, range(0, count, _ROOT_BLOCK)))
-    return RobinEigen1D(h=h, ell_axis=ell_axis, alphas=np.concatenate(alphas),
-                        norms=np.concatenate(norms))
+    blocks = _map_blocks(block, range(0, count, _ROOT_BLOCK))
+    return RobinEigen1D(h=h, ell_axis=ell_axis, alphas=np.concatenate(list(blocks)))
 
 
-# an entry holds 16 bytes per root (1.6 MB at kmax 1e5); a modal sum or a
-# sampler check reuses the roots of one (beta, L, count) for all its axes
+# 8 bytes a root (0.8 MB at kmax 1e5), reused by a modal sum or sampler check on every axis
 @lru_cache(maxsize=8)
 def _robin_cached(h: float, ell_axis: float, count: int) -> RobinEigen1D:
     return robin_eigen_1d(h, ell_axis, count)
@@ -331,8 +326,8 @@ def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray)
     of ``starts``, in order, make up the table.  Each holds about
     ``_BLOCK_VALUES`` values (at least one anchor or one root).  Mode order
     along one axis: Dirichlet k = 1..kmax; Neumann k = 0..kmax; periodic
-    [const, cos_1, sin_1, ..., cos_kmax, sin_kmax]; Robin n = 1..kmax+1.  A
-    D/N/P block is a transposed view: the modes of one coordinate are
+    [const, cos_1, sin_1, ..., cos_kmax, sin_kmax]; Robin n = 1..kmax+1.
+    Each block is a transposed view: the modes of one coordinate are
     contiguous.
 
     D/N/P values are amp * trig(k t), t = freq x / L, by angle addition.
@@ -344,10 +339,11 @@ def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray)
     cos b sin a, and amp last.  Rows k < B and k = q B keep the bits of
     amp * trig(fl(fl(fl(k x) freq) / L)), since cos 0 = 1 and sin 0 = 0
     exactly; the others move by rounding only (README, numerical notes).
-    A D/N/P block is a run of whole anchors q, a Robin block a run of roots;
-    every value is formed elementwise, so no row depends on the blocking.
-    Callers map ``block`` over ``starts`` on the block pool
-    (``_blocks._map_blocks``).
+    Robin values are A cos(w x - theta), one cosine and one amplitude each
+    (``RobinEigen1D``).  A D/N/P block is a run of whole anchors q, a Robin
+    block a run of roots; every value is formed elementwise, so no row
+    depends on the blocking.  Callers map ``block`` over ``starts`` on the
+    block pool (``_blocks._map_blocks``).
     """
     if kmax > _MAX_KMAX:
         raise ValueError(f"kmax {kmax} exceeds 2^53, the largest index cap a mode table "
@@ -356,14 +352,12 @@ def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray)
     n = max(x.size, 1)
     if bc.kind == "robin":
         eig = _robin_cached(bc.beta, L, kmax + 1)
+        c = eig.h * eig.ell_axis
         rows = max(1, _BLOCK_VALUES // n)
 
         def robin_block(i):
-            part = RobinEigen1D(eig.h, eig.ell_axis, eig.alphas[i:i + rows],
-                                eig.norms[i:i + rows])
-            vals = part.evaluate(x)
-            vals /= np.sqrt(part.norms)[:, None]
-            return part.omegas ** 2, vals
+            a = eig.alphas[i:i + rows]
+            return (a / L) ** 2, _robin_modes(a, L, c, x, _robin_amplitude(a, L, c))
 
         return robin_block, range(0, kmax + 1, rows)
     freq = 2.0 * math.pi if bc.kind == "periodic" else np.pi
@@ -409,9 +403,15 @@ def _axis_mode_blocks(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray)
 
 
 def _axis_mu_values(bc: BoundarySpec, L: float, kmax: int, coords: np.ndarray):
-    """The whole per-axis table (mu, V) of ``_axis_mode_blocks``, its blocks stacked."""
-    mus, vals = zip(*_map_blocks(*_axis_mode_blocks(bc, L, kmax, coords)))
-    return np.concatenate(mus), np.concatenate(vals)
+    """The whole per-axis table (mu, V) of ``_axis_mode_blocks``, its blocks copied in turn."""
+    block, starts = _axis_mode_blocks(bc, L, kmax, coords)
+    rows = {"dirichlet": kmax, "periodic": 2 * kmax + 1}.get(bc.kind, kmax + 1)
+    mu, V = np.empty(rows), np.empty((rows, np.size(coords)), order="F")  # the blocks' layout
+    i = 0
+    for m, v in _map_blocks(block, starts):
+        mu[i:i + m.size], V[i:i + m.size] = m, v
+        i += m.size
+    return mu, V
 
 
 def eigenpair(bc: BoundarySpec, k, box: BoxDomain, kappa: float):
@@ -635,7 +635,7 @@ def _robin_neumann_remainder(params: MaternParams, beta: float, L: float,
     With c = beta L, the Robin root of mode k + 1 is a = k pi + 2 theta,
     theta = arctan(c / a) in (0, pi/2): the problem is symmetric about L/2,
     and u(x) = cos(a x / L - theta) meets both boundary conditions.  The
-    orthonormal Robin mode is therefore
+    orthonormal Robin mode is therefore (``_robin_amplitude``)
         A cos(k pi x / L + theta s),  s = 2x/L - 1 in [-1, 1],
         A^2 = (2/L) / (1 + 2c / (a^2 + c^2)),
     and, with f(t) = (1 + (t / (kappa L))^2)^(-alpha), for k >= 1

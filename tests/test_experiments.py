@@ -249,13 +249,13 @@ n_samples = 0
 GOLDEN = (
     ("sigma2=1\nrho=0.1\nnu=1\nd=1\nbc=R,D,N,P\ndelta_list=0,0.05,0.2\nn_grid=7\n"
      "trunc_h=1e-3\nseed=3\nn_samples=200\n",
-     {"cov-slice": "16274a85f816f1186de9caa1456b19f2deffc26755f8d82b6e11d850124c1686",
-      "error-curve": "7c8da3449a857d3cc81ad4160ae9eb2e48f6e06756bd6c993fef60ddeb21a4c1",
+     {"cov-slice": "9f9c742a29088f08ab77b8edd5320865bc9d269c2d1a6adcf7712d1c1e54ec55",
+      "error-curve": "91bf03f5c6055dadb11cb7d1fa3c5f3c41be1a114b4a989c3f4dd0f9e0b24ddd",
       "bounds": "956f33adcf9565745acb5a5b50af746b7b5c196affb9284f3a4ae7028949a53b",
-      "sample": "2b64f69bc1bf4ca22b716eeb525b365c8e767ae146552ecb6363e26b973b073e"}),
+      "sample": "404aba8d29c52b71cc195a28785d5fa340322e277482410ad685e5c2111a2bb4"}),
     ("sigma2=1\nrho=0.1\nnu=1\nd=2\nbc=D,N,P,R\ndelta_list=0.05,0.2\nn_grid=3\n"
      "trunc_h=2e-2\nseed=5\nn_samples=200\n",
-     {"cov-slice": "3bc2ac358d5b0c2853aad8d057f25a10590e5a78270b75657fa96cedad00dd5d",
+     {"cov-slice": "34573354b6b6e5a2b3350916dcaf9a154a6c291997b9235d9300a926dc937604",
       "error-curve": "f5ba5e5efe6f864e487b9e8746d6ee67f83f9b185ce6a1021ec0ba463e8369f0",
       "bounds": "e1378dde18f4ab34bd72ed1c37857dda2bf798ec4798bfea9cf3eff8386ce4ab",
       "sample": "3096b794824a73a39fe96806891947da883180895ac63e98421cc074b94501b1"}),
