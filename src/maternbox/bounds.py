@@ -59,11 +59,12 @@ def eulerian_number(n: int, k: int) -> int:
 
 def polylog_partial(s: float, z: float, terms: int) -> float:
     """Partial sum of the polylogarithm, sum_{k=1}^{terms} k^(-s) z^k."""
+    z = as_real(z, "z", signed=True)
     if not abs(z) < 1.0:
         raise ValueError(f"polylog partial sums need |z| < 1, got {z!r}")
-    terms = as_integer(terms, "terms", 1)
+    terms, s = as_integer(terms, "terms", 1), as_real(s, "s", signed=True)
     k = np.arange(1, terms + 1, dtype=float)
-    vals = k ** (-float(s)) * z ** k
+    vals = k ** -s * z ** k
     return math.fsum(vals.tolist())
 
 
@@ -73,7 +74,7 @@ def power_sum_closed(d: int, z: float) -> float:
     Equals (sum_j A(d-1, j) z^(d-2-j)) / (1-z)^d for d >= 2 and 1/(1-z) for
     d = 1; bounded by (d-1)!/(1-z)^d.
     """
-    d = as_integer(d, "d", 1)
+    d, z = as_integer(d, "d", 1), as_real(z, "z", signed=True)
     if not abs(z) < 1.0:
         raise ValueError(f"geometric closed form needs |z| < 1, got {z!r}")
     if d == 1:

@@ -15,6 +15,7 @@ from .experiments import (
     run_sampler_check,
     run_verify,
 )
+from .matern import as_integer
 from .specfun import ConvergenceError
 
 _TABLE_VERBS = {
@@ -73,7 +74,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit(f"bad config {args.config!r}: {exc}") from exc
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        try:
+            cfg = replace(cfg, seed=as_integer(args.seed, "--seed", 0))
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from exc
     try:
         table = _TABLE_VERBS[args.verb](cfg)
     except (ValueError, ConvergenceError) as exc:

@@ -45,8 +45,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._blocks import _block_pool, _map_blocks
-from .matern import (MaternParams, _unit_matern, as_integer, as_points, check_dimension,
-                     decay_factor, unit_matern)
+from .matern import (MaternParams, _unit_matern, as_integer, as_points, as_real, as_reals,
+                     check_dimension, decay_factor, unit_matern)
 
 if TYPE_CHECKING:
     from .spectral import BoxDomain
@@ -246,10 +246,9 @@ def _family_tails(params: MaternParams, box: BoxDomain, bc: str, separation_inf)
     families, periods = _families(params, box, bc)
     if separation_inf is None:
         separation_inf = periods.max()
-    seps = np.broadcast_to(np.asarray(separation_inf, dtype=float), (len(families),))
     # below 0 the tail bounds no pair; at inf no shell is left to close the sum at
-    if not np.all(np.isfinite(seps) & (seps >= 0)):
-        raise ValueError(f"separation_inf must be finite and >= 0, got {separation_inf!r}")
+    seps = np.broadcast_to(as_reals(separation_inf, "separation_inf", zero=True),
+                           (len(families),))
     return _Tails(params, float(periods.min()), seps)
 
 
@@ -272,8 +271,7 @@ def pick_radius(params: MaternParams, box: BoxDomain, bc: str = "periodic", *,
     ``separation_inf`` as in ``image_tail_bound``, by default the largest
     period; each candidate's tail is the one ``image_tail_bound`` returns.
     """
-    if tol is None:
-        tol = _DEFAULT_TAIL_FACTOR * params.sigma2
+    tol = _DEFAULT_TAIL_FACTOR * params.sigma2 if tol is None else as_real(tol, "tol")
     return _family_tails(params, box, bc, separation_inf).pick(tol)
 
 

@@ -8,7 +8,9 @@ Every entry point that takes points reads them through ``as_points``, and
 every one that takes a kernel and a box matches them by ``check_dimension``.
 Every integer argument (radius, kmax, count, index, seed, ...) is read by
 ``as_integer``, and every real one (sigma2, nu, delta, ell, beta, ...) by
-``as_real``: both refuse bools and name the argument in their ``ValueError``.
+``as_real`` (kept in ``specfun``, below every layer that reads a real; an
+array of them by ``as_reals``): both refuse bools and name the argument in
+their ``ValueError``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import _log_bessel_k, ln_gamma, log_bessel_k
+from .specfun import _log_bessel_k, as_real, ln_gamma, log_bessel_k
 
 __all__ = [
     "AnisoMetric",
@@ -55,9 +57,7 @@ class MaternParams:
 
 def derive_params(sigma2: float, rho: float, nu: float, d: int) -> MaternParams:
     """Populate MaternParams from the three kernel parameters and dimension."""
-    sigma2, rho, nu = float(sigma2), float(rho), float(nu)
-    if not all(0 < v < math.inf for v in (sigma2, rho, nu)):
-        raise ValueError(f"sigma2, rho, nu must be finite and positive, got {(sigma2, rho, nu)}")
+    sigma2, rho, nu = as_real(sigma2, "sigma2"), as_real(rho, "rho"), as_real(nu, "nu")
     d = as_dimension(d)
     kappa = math.sqrt(2.0 * nu) / rho
     alpha = nu + d / 2.0
@@ -116,17 +116,14 @@ def as_dimension(d) -> int:
     return d
 
 
-def as_real(value, name: str, zero: bool = False) -> float:
-    """``value`` as a float if ``float`` takes it and it is finite and > 0
-    (>= 0 with ``zero``), bools not, else ``ValueError`` naming it."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(x) and (x > 0 or zero and x == 0)):
-        bound = ">= 0" if zero else "> 0"
-        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
-    return x
+def as_reals(values, name: str, **bound) -> np.ndarray:
+    """``values`` as a float array of their shape, each entry read by
+    ``as_real`` (with ``bound``) as ``name[i, ...]``, or as ``name`` if scalar."""
+    values = np.asarray(values, dtype=object)
+    out = np.empty(values.shape)
+    for i, v in np.ndenumerate(values):
+        out[i] = as_real(v, f"{name}{list(i)}" if i else name, **bound)
+    return out
 
 
 def as_points(points, d: int, n: int | None = None, name: str = "points") -> np.ndarray:
@@ -185,15 +182,13 @@ class AnisoMetric:
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        s = np.asarray(self.scales, dtype=float)
+        r = as_reals(self.rotation, "rotation", signed=True)
+        s = as_reals(self.scales, "scales")
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("rotation must be a square matrix")
         d = r.shape[0]
         if s.shape != (d,):
             raise ValueError("scales must be a vector matching the rotation size")
-        if np.any(s <= 0) or not np.all(np.isfinite(s)):
-            raise ValueError("scales must be positive and finite")
         if np.max(np.abs(r @ r.T - np.eye(d))) > 1e-12:
             raise ValueError("rotation must be orthogonal to 1e-12")
         object.__setattr__(self, "rotation", r)
@@ -231,11 +226,12 @@ def decay_factor(nu: float, kappa: float, x) -> float:
     geometric closure of the package, 1 / (1 - f)^d, takes f from here, so
     where f rounds to 1 (rho far beyond x) this raises ``ValueError``.
     """
+    nu, kappa = as_real(nu, "nu"), as_real(kappa, "kappa")
     xa = np.asarray(x, dtype=float)
     if np.any(xa <= 0):
         raise ValueError("decay_factor requires x > 0")
-    t = float(kappa) * xa
-    out = unit_matern(max(float(nu), 0.5), t)
+    t = kappa * xa
+    out = unit_matern(max(nu, 0.5), t)
     if np.any(out >= 1.0):
         raise ValueError(f"decay factor M(kappa x) rounds to 1 at kappa x = {np.min(t):g}: "
                          "rho is too far beyond the box for a geometric tail to close")
@@ -249,7 +245,7 @@ def radiation_residual(nu: float, kappa: float, r) -> float:
     like exp(-kappa r) as r grows, which motivates beta = kappa as a Robin
     coefficient.
     """
-    nu, kappa = float(nu), float(kappa)
+    nu, kappa = as_real(nu, "nu"), as_real(kappa, "kappa")
     ra = np.asarray(r, dtype=float)
     squeeze = ra.ndim == 0
     ra = np.atleast_1d(ra)

@@ -13,20 +13,20 @@ Distinct seeds are independent streams, so samples can be generated in
 parallel with no shared state.  ``sample_values`` draws in blocks of seeds,
 each draw bit for bit its own, and runs the blocks on the package's block
 pool (``_blocks``: one thread per CPU in the process's affinity mask;
-``taskset`` limits it), each thread re-keying its own Philox generator;
-the draws are the same on any number of threads.  The re-keying loop
-holds the interpreter lock in one short turn per seed, so one thread at a
-time runs it (``_keying``), while the others run the inverse CDF, scaling
-and product of their own blocks.  ``sample_values`` returns the
-draws as one (n, points) array, ``sample_ensemble`` wraps its rows as
-``FieldSample``s, and ``sample_field`` is the one-draw ensemble.
-``empirical_cov`` takes either.  Grids (``matern.as_points``) must lie in
-the closed box.
+``taskset`` limits it); the draws are the same on any number of threads.
+Each call makes one Philox generator, re-keyed per seed, and one lock:
+the re-keying loop holds the interpreter lock in one short turn per seed,
+so one block of the call at a time runs it, under that lock, while the
+others run the inverse CDF, scaling and product of their own blocks.  No
+lock outlives its call, so a forked child has nothing to mend.
+``sample_values`` returns the draws as one (n, points) array,
+``sample_ensemble`` wraps its rows as ``FieldSample``s, and
+``sample_field`` is the one-draw ensemble.  ``empirical_cov`` takes
+either.  Grids (``matern.as_points``) must lie in the closed box.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
@@ -44,22 +44,6 @@ _MASK64 = 2 ** 64 - 1
 # draws whose noise is made, scaled and mapped through the modes together,
 # at most _BLOCK_VALUES noise values at a time
 _BLOCK = 256
-# one Philox generator per thread that draws, re-keyed per seed
-_local = threading.local()
-# held by the thread that runs its re-keying loop: each Generator.random call
-# drops the interpreter lock and takes it back, and two threads keying at once
-# would hand it to each other once per seed; made anew in a forked child,
-# where a pool thread of the parent may have held it
-_keying = threading.Lock()
-
-
-def _new_keying_lock():
-    global _keying
-    _keying = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_keying_lock)
 
 
 @dataclass(frozen=True)
@@ -82,11 +66,12 @@ class EmpiricalCov:
     std_error: np.ndarray
 
 
-def _standard_normals(philox: np.random.Philox, seeds, count: int) -> np.ndarray:
+def _standard_normals(philox: np.random.Philox, keying, seeds, count: int) -> np.ndarray:
     """Row i: the first ``count`` normals of the stream Philox(key=seeds[i]).
 
     ``philox`` is re-keyed per seed, which costs less than building one
-    generator per draw, by one thread at a time (``_keying``).
+    generator per draw, while this thread holds ``keying``, the lock of
+    every block that shares ``philox``.
     ``Generator.random`` gives (n >> 11) * 2^-53 for each 64-bit draw n, and
     adding 2^-54 gives u = ((n >> 11) + 1/2) * 2^-53 bit for bit: both round
     (n >> 11) + 1/2 to 53 bits, scaled by a power of two.  The inverse
@@ -102,7 +87,7 @@ def _standard_normals(philox: np.random.Philox, seeds, count: int) -> np.ndarray
              "state": {"counter": np.zeros(4, np.uint64), "key": key},
              "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    with _keying:
+    with keying:
         for row, seed in zip(u, seeds):
             key[0], key[1] = seed & _MASK64, seed >> 64
             philox.state = state
@@ -125,8 +110,8 @@ def sample_values(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     [0, 2^128), Philox's key range.  The mode system is built once, and the
     result has shape (n, points) for the grid as ``matern.as_points`` reads
     it.  Draws run in blocks of up to ``_BLOCK`` seeds, spread over the
-    block pool (``_blocks._map_blocks``), each thread with its own Philox
-    generator re-keyed per seed; row i is bit for bit
+    block pool (``_blocks._map_blocks``), all re-keying the call's one Philox
+    generator under the call's one lock; row i is bit for bit
     (coef * normals(seed + i)) @ modes of that draw alone.
     """
     seed, n = as_integer(seed, "seed"), as_integer(n, "n", 1)
@@ -135,11 +120,10 @@ def sample_values(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     lam, modes = mode_system(params, bc, box, grid, trunc)
     coef = np.sqrt(params.eta2) * lam ** (-params.alpha / 2.0)
     block = max(1, min(_BLOCK, _BLOCK_VALUES // coef.size))
+    philox, keying = np.random.Philox(), threading.Lock()
 
     def draw(first):
-        if not hasattr(_local, "philox"):
-            _local.philox = np.random.Philox()
-        xi = _standard_normals(_local.philox, range(first, min(first + block, seed + n)),
+        xi = _standard_normals(philox, keying, range(first, min(first + block, seed + n)),
                                coef.size)
         xi *= coef
         return np.matmul(xi[:, None, :], modes)[:, 0, :]

@@ -70,12 +70,24 @@ class ConvergenceError(RuntimeError):
     a K value is not finite."""
 
 
+def as_real(value, name: str, zero: bool = False, signed: bool = False) -> float:
+    """``value`` as a float if ``float`` takes it and it is finite and > 0
+    (>= 0 with ``zero``, of any sign with ``signed``), bools not, else
+    ``ValueError`` naming it."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, (bool, np.bool_)) or not (
+            math.isfinite(x) and (signed or x > 0 or zero and x == 0)):
+        bound = "" if signed else " >= 0" if zero else " > 0"
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+    return x
+
+
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
-    x = float(x)
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError(f"ln_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
+    return math.lgamma(as_real(x, "x"))
 
 
 @dataclass(frozen=True)
@@ -244,9 +256,7 @@ def log_bessel_k(nu: float, x) -> np.ndarray:
     in the calling thread; each point's value is its single-point value, so
     the blocking does not show in the result.
     """
-    nu = float(nu)
-    if not math.isfinite(nu):
-        raise ValueError(f"order must be finite, got {nu!r}")
+    nu = as_real(nu, "nu", signed=True)
     xa = np.asarray(x, dtype=float)
     squeeze = xa.ndim == 0
     xa = np.atleast_1d(xa)
@@ -274,10 +284,10 @@ def _log_bessel_k(nu: float, xa: np.ndarray) -> np.ndarray:
 
 def bessel_k(nu: float, x: float) -> BesselEval:
     """K_nu(x) for real order (reflected to |nu|) and x > 0."""
+    nu, x = as_real(nu, "nu", signed=True), as_real(x, "x")
     logv = float(log_bessel_k(nu, x))
     value = math.exp(logv) if logv < 709.0 else math.inf
-    return BesselEval(order=abs(float(nu)), argument=float(x),
-                      value=value, log_value=logv)
+    return BesselEval(order=abs(nu), argument=x, value=value, log_value=logv)
 
 
 def bessel_k_quadrature(nu: float, x: float) -> BesselEval:
@@ -289,13 +299,7 @@ def bessel_k_quadrature(nu: float, x: float) -> BesselEval:
     """
     from scipy.integrate import quad  # only this oracle needs it; slow to import
 
-    nu = float(nu)
-    if not math.isfinite(nu):
-        raise ValueError(f"order must be finite, got {nu!r}")
-    nu = abs(nu)
-    x = float(x)
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError(f"bessel argument must be finite and > 0, got {x!r}")
+    nu, x = abs(as_real(nu, "nu", signed=True)), as_real(x, "x")
     xsq4 = 0.25 * x * x
 
     def phi(u):

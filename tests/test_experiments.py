@@ -392,6 +392,15 @@ seed = 1
     assert outs["a"] != outs["b"]
 
 
+def test_cli_seed_override_is_read_as_a_seed(tmp_path):
+    # --seed -1 was parsed, then failed in the sampler with Philox's key message
+    from maternbox.cli import main
+
+    cfg_path = _write_cfg(tmp_path, BASE_CFG)
+    with pytest.raises(SystemExit, match=r"^--seed must be an integer >= 0, got -1$"):
+        main(["sample", "--config", cfg_path, "--seed", "-1"])
+
+
 def test_log_error_curvature_regimes():
     # semilog error curves: straight for the exponential kernel, bending up
     # (convex) for rougher kernels, bending down (concave) for smoother ones,

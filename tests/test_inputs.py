@@ -29,13 +29,16 @@ from maternbox.folded import (
 )
 from maternbox.matern import (
     AnisoMetric,
+    decay_factor,
     derive_params,
     matern_cov,
     matern_cov_aniso,
     matern_gram,
+    radiation_residual,
     unit_matern,
 )
 from maternbox.sampler import sample_ensemble, sample_field, sample_values
+from maternbox.specfun import bessel_k, bessel_k_quadrature, ln_gamma, log_bessel_k
 from maternbox.spectral import (
     BoundarySpec,
     BoxDomain,
@@ -197,10 +200,12 @@ def test_eigenpair_integer_index_types_agree():
 @pytest.mark.parametrize("bad", [(math.inf, 0.1, 1.0), (1.0, math.inf, 1.0), (1.0, 0.1, math.inf),
                                  (math.nan, 0.1, 1.0), (1.0, -math.inf, 1.0), (1.0, 0.1, 0.0)])
 def test_derive_params_needs_finite_positive_values(bad):
-    # sigma2 = inf gave inf folded Grams and tails, rho = inf a math domain error
-    shown = ", ".join(map(repr, bad))
-    with pytest.raises(ValueError, match=rf"^sigma2, rho, nu must be finite and positive, "
-                                         rf"got \({shown}\)$"):
+    # sigma2 = inf gave inf folded Grams and tails, rho = inf a math domain error;
+    # each value is read by as_real, so the message names the first bad one
+    name, value = next((name, v) for name, v in zip(("sigma2", "rho", "nu"), bad)
+                       if not 0 < v < math.inf)
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number > 0, "
+                                         rf"got {re.escape(repr(value))}$"):
         derive_params(*bad, 1)
 
 
@@ -259,8 +264,33 @@ DIMENSIONS = {
 }
 INTEGERS.update(DIMENSIONS)
 # every real argument the package reads: id -> (argument, whether 0 is
-# allowed, a valid value, the call of one value)
+# allowed, None if any sign is, a valid value, the call of one value)
 REALS = {
+    "derive_params_sigma2": ("sigma2", False, 1.0, lambda v: derive_params(v, 0.1, 1.0, 1)),
+    "derive_params_rho": ("rho", False, 0.1, lambda v: derive_params(1.0, v, 1.0, 1)),
+    "derive_params_nu": ("nu", False, 1.0, lambda v: derive_params(1.0, 0.1, v, 1)),
+    "decay_factor_nu": ("nu", False, 1.0, lambda v: decay_factor(v, 1.0, 0.5)),
+    "decay_factor_kappa": ("kappa", False, 1.0, lambda v: decay_factor(1.0, v, 0.5)),
+    "radiation_residual_nu": ("nu", False, 1.0, lambda v: radiation_residual(v, 1.0, 0.5)),
+    "radiation_residual_kappa": ("kappa", False, 1.0,
+                                 lambda v: radiation_residual(1.0, v, 0.5)),
+    "pick_radius_tol": ("tol", False, 1e-8, lambda v: pick_radius(P1, BOX1, "neumann", tol=v)),
+    "pick_radius_separation_inf": ("separation_inf", True, 0.1,
+                                   lambda v: pick_radius(P1, BOX1, "neumann", separation_inf=v)),
+    "image_tail_bound_separation_inf": (
+        "separation_inf", True, 0.1,
+        lambda v: image_tail_bound(P1, BOX1, 3, bc="neumann", separation_inf=v)),
+    "AnisoMetric_rotation": ("rotation[0, 0]", None, 1.0, lambda v: AnisoMetric([[v]], [0.1])),
+    "AnisoMetric_scales": ("scales[0]", False, 0.1, lambda v: AnisoMetric(np.eye(1), [v])),
+    "polylog_partial_s": ("s", None, 1.0, lambda v: polylog_partial(v, 0.5, 3)),
+    "polylog_partial_z": ("z", None, 0.5, lambda v: polylog_partial(1.0, v, 3)),
+    "power_sum_closed": ("z", None, 0.5, lambda v: power_sum_closed(2, v)),
+    "ln_gamma": ("x", False, 2.5, lambda v: ln_gamma(v)),
+    "log_bessel_k_nu": ("nu", None, 1.5, lambda v: log_bessel_k(v, 1.0)),
+    "bessel_k_nu": ("nu", None, 1.5, lambda v: bessel_k(v, 1.0)),
+    "bessel_k_x": ("x", False, 1.0, lambda v: bessel_k(1.5, v)),
+    "bessel_k_quadrature_nu": ("nu", None, 1.5, lambda v: bessel_k_quadrature(v, 1.0)),
+    "bessel_k_quadrature_x": ("x", False, 1.0, lambda v: bessel_k_quadrature(1.5, v)),
     "BoxDomain_delta": ("delta", True, 0.2, lambda v: BoxDomain(v, 1.0, (1.2,), 1)),
     "BoxDomain_ell": ("ell", False, 1.0, lambda v: BoxDomain(0.2, v, (1.2,), 1)),
     "BoxDomain_lengths": ("lengths[0]", False, 1.2, lambda v: BoxDomain(0.2, 1.0, (v,), 1)),
@@ -298,7 +328,7 @@ SCALAR_CASES = (
     [(f"{key}-{bad!r}", name, fn, bad) for key, (name, least, _, fn) in INTEGERS.items()
      for bad in [2.5] + _NOT_REAL + ([] if least is None else [least - 1])]
     + [(f"{key}-{bad!r}", name, fn, bad) for key, (name, zero, _, fn) in REALS.items()
-       for bad in _NOT_REAL + ([-1.0] if zero else [0.0, -1.0])]
+       for bad in _NOT_REAL + ([] if zero is None else [-1.0] if zero else [0.0, -1.0])]
     + [(f"{key}-{bad!r}", name, fn, bad) for key, (name, _, _, fn) in DIMENSIONS.items()
        for bad in ("2", 1.0)])
 

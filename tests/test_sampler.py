@@ -3,6 +3,8 @@
 import multiprocessing
 import os
 import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -61,7 +63,7 @@ def test_single_mode_field_is_scaled_constant():
     p, box, pts, tr = _setup(kmax=600)
     s = sample_field(p, BoundarySpec.neumann(), box, pts, TruncationSpec(0), 7)
     L = box.lengths[0]
-    xi0 = _standard_normals(np.random.Philox(), [7], 1)[0, 0]
+    xi0 = _standard_normals(np.random.Philox(), threading.Lock(), [7], 1)[0, 0]
     expected = np.sqrt(p.eta2) * 1.0 ** (-p.alpha / 2) * L ** (-0.5) * xi0
     assert np.allclose(s.values, expected, rtol=1e-14)
     assert np.ptp(s.values) == 0.0
@@ -145,7 +147,7 @@ def test_pinned_noise_stream():
     raw = np.random.Generator(np.random.Philox(key=11)).integers(
         0, 2 ** 53, size=5, dtype=np.uint64)
     ref = ndtri((raw.astype(float) + 0.5) / 2 ** 53)
-    assert np.array_equal(_standard_normals(np.random.Philox(), [11], 5), ref[None, :])
+    assert np.array_equal(_standard_normals(np.random.Philox(), threading.Lock(), [11], 5), ref[None, :])
 
 
 def test_ensemble_rekeys_one_generator_bitwise():
@@ -154,7 +156,7 @@ def test_ensemble_rekeys_one_generator_bitwise():
     # the noise of any seed, key words above 2^64 included, is Philox(key=seed)'s,
     # row by row of one block
     seeds = (0, 11, 2 ** 64 - 1, 2 ** 64, 2 ** 127 + 3)
-    block = _standard_normals(np.random.Philox(), seeds, 9)
+    block = _standard_normals(np.random.Philox(), threading.Lock(), seeds, 9)
     assert block.shape == (len(seeds), 9)
     for seed, row in zip(seeds, block):
         raw = np.random.Philox(key=seed).random_raw(9) >> 11
@@ -268,21 +270,50 @@ def test_empirical_cov_of_values_is_that_of_samples_bitwise():
             empirical_cov(bad)
 
 
-def test_one_thread_at_a_time_runs_the_keying_loop():
-    # a thread that draws waits while another holds the keying lock
-    done = threading.Event()
+@pytest.fixture
+def keying_lock(monkeypatch):
+    """Make each ``sample_values`` call's lock a ``KeyingLock``, which records
+    over all its instances the instances made, the threads that held one and
+    the most holders at once; once ``hold`` is set, its first holder sets
+    ``entered`` and waits for ``go``."""
 
-    def draw():
-        _standard_normals(np.random.Philox(), [1, 2], 4)
-        done.set()
+    class KeyingLock:
+        made, holders, inside, most = [], set(), 0, 0
+        entered, go, hold = threading.Event(), threading.Event(), threading.Event()
 
-    thread = threading.Thread(target=draw, daemon=True)
-    with sampler._keying:
-        thread.start()
-        assert not done.wait(0.2)
-    assert done.wait(30.0)
-    thread.join(30.0)
-    assert not thread.is_alive()
+        def __init__(self):
+            KeyingLock.made.append(self)
+            self._lock = threading.Lock()
+
+        def __enter__(self):
+            self._lock.acquire()
+            KeyingLock.holders.add(threading.get_ident())
+            KeyingLock.inside += 1
+            KeyingLock.most = max(KeyingLock.most, KeyingLock.inside)
+            if KeyingLock.hold.is_set() and not KeyingLock.entered.is_set():
+                KeyingLock.entered.set()
+                assert KeyingLock.go.wait(60.0)
+            time.sleep(0.02)  # a block that does not share this lock overlaps here
+
+        def __exit__(self, *exc):
+            KeyingLock.inside -= 1
+            self._lock.release()
+
+    monkeypatch.setattr(sampler, "threading", types.SimpleNamespace(Lock=KeyingLock))
+    return KeyingLock
+
+
+def test_one_thread_at_a_time_runs_the_keying_loop(block_pool, keying_lock):
+    # one call makes one lock, and its blocks, run on several pool threads,
+    # hold it in turn: no two are inside the re-keying loop at once
+    p, box, pts, tr = _setup(n=4, kmax=20)
+    bc = BoundarySpec.neumann()
+    serial = sample_values(p, bc, box, pts, tr, 5, 3 * sampler._BLOCK + 1)
+    block_pool(3)
+    pooled = sample_values(p, bc, box, pts, tr, 5, 3 * sampler._BLOCK + 1)
+    assert pooled.tobytes() == serial.tobytes()
+    assert len(keying_lock.made) == 2 and len(keying_lock.holders) >= 2
+    assert keying_lock.most == 1
 
 
 def _draw_in_child(conn):
@@ -292,24 +323,31 @@ def _draw_in_child(conn):
     conn.close()
 
 
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
-def test_forked_child_draws_while_the_parent_holds_the_keying_lock():
-    # a pool thread may hold the keying lock when the process forks; the
-    # child's copy of it would stay held, and its first draw would hang
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_draws_while_the_parent_holds_the_keying_lock(keying_lock):
+    # the process forks while a thread of the parent is inside a call's
+    # re-keying loop; the child's copy of that call's lock stays held, and
+    # the child's own call, with its own lock, draws the parent's bits
     p, box, pts, tr = _setup(n=4, kmax=20)
-    parent = sample_values(p, BoundarySpec.neumann(), box, pts, tr, 5, 3)
+    parent = []
+    keying_lock.hold.set()
+    thread = threading.Thread(target=lambda: parent.append(
+        sample_values(p, BoundarySpec.neumann(), box, pts, tr, 5, 3)), daemon=True)
+    thread.start()
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_draw_in_child, args=(send,), daemon=True)
-    with sampler._keying:
-        child.start()
-    send.close()
+    assert keying_lock.entered.wait(60.0)
     try:
+        child.start()
+        send.close()
         assert recv.poll(60.0), "no draws from the child within the timeout: deadlock?"
         done = recv.recv()
     finally:
+        keying_lock.go.set()
+        thread.join(30.0)
         child.join(30.0)
         if child.is_alive():
             child.kill()
     assert not child.is_alive() and child.exitcode == 0
-    assert done.tobytes() == parent.tobytes()
+    assert len(parent) == 1 and done.tobytes() == parent[0].tobytes()
