@@ -284,7 +284,7 @@ REALS = {
     "AnisoMetric_scales": ("scales[0]", False, 0.1, lambda v: AnisoMetric(np.eye(1), [v])),
     "polylog_partial_s": ("s", None, 1.0, lambda v: polylog_partial(v, 0.5, 3)),
     "polylog_partial_z": ("z", None, 0.5, lambda v: polylog_partial(1.0, v, 3)),
-    "power_sum_closed": ("z", None, 0.5, lambda v: power_sum_closed(2, v)),
+    "power_sum_closed_z": ("z", None, 0.5, lambda v: power_sum_closed(2, v)),
     "ln_gamma": ("x", False, 2.5, lambda v: ln_gamma(v)),
     "log_bessel_k_nu": ("nu", None, 1.5, lambda v: log_bessel_k(v, 1.0)),
     "bessel_k_nu": ("nu", None, 1.5, lambda v: bessel_k(v, 1.0)),
