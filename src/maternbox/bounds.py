@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matern import (AnisoMetric, MaternParams, as_dimension, as_integer, as_real, decay_factor,
-                     unit_matern)
+from .matern import (AnisoMetric, MaternParams, as_dimension, as_integer, as_real, as_reals,
+                     decay_factor, unit_matern)
 from .spectral import BoxDomain
 
 __all__ = [
@@ -103,10 +103,6 @@ class BoundReport:
     dirichlet_bound: float
 
 
-def _kernel_radial(params: MaternParams, r) -> np.ndarray:
-    return params.sigma2 * unit_matern(params.nu, params.kappa * np.asarray(r, dtype=float))
-
-
 def lattice_kernel_sum(params: MaternParams, lengths):
     """sum_{k in N0^d \\ 0} C(||L.k||_2) with a certified remainder.
 
@@ -116,7 +112,7 @@ def lattice_kernel_sum(params: MaternParams, lengths):
     remainder never dominates comparisons against other bounds).
     """
     d = params.d
-    lengths = np.asarray(lengths, dtype=float)
+    lengths = as_reals(lengths, "lengths")
     if lengths.shape != (d,):
         raise ValueError(f"lengths must have {d} entries")
     lmin = float(np.min(lengths))
@@ -151,7 +147,7 @@ def _lattice_bounds(params: MaternParams, delta: float, box: BoxDomain):
     delta = as_real(delta, "delta", zero=True)
     d = params.d
     s, rem = lattice_kernel_sum(params, box.lengths)
-    c_delta = float(_kernel_radial(params, delta))
+    c_delta = params.sigma2 * unit_matern(params.nu, params.kappa * delta)
     return (2 ** d - 1) * c_delta + 2 ** d * (s + rem), 2 ** (d - 1) * (c_delta + s + rem)
 
 

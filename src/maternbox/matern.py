@@ -7,10 +7,10 @@ smoothness orders (nu = 50 and beyond) neither overflow nor lose digits.
 Every entry point that takes points reads them through ``as_points``, and
 every one that takes a kernel and a box matches them by ``check_dimension``.
 Every integer argument (radius, kmax, count, index, seed, ...) is read by
-``as_integer``, and every real one (sigma2, nu, delta, ell, beta, ...) by
-``as_real`` (kept in ``specfun``, below every layer that reads a real; an
-array of them by ``as_reals``): both refuse bools and name the argument in
-their ``ValueError``.
+``as_integer``, every real one (sigma2, nu, delta, ell, beta, ...) by
+``as_real`` and every array of reals (points, t, x, r, lengths, ...) by
+``as_reals``, the last two kept in ``specfun``, below every layer that reads
+a real: all refuse bools and name the argument in their ``ValueError``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import _log_bessel_k, as_real, ln_gamma, log_bessel_k
+from .specfun import _log_bessel_k, as_real, as_reals, ln_gamma, log_bessel_k
 
 __all__ = [
     "AnisoMetric",
@@ -72,14 +72,9 @@ def unit_matern(nu: float, t):
 
     Returns values in (0, 1]; underflows cleanly to 0.0 for huge t.
     """
-    nu = as_real(nu, "nu")
-    ta = np.asarray(t, dtype=float)
-    squeeze = ta.ndim == 0
-    ta = np.atleast_1d(ta)
-    if ta.size and (np.any(ta < 0) or not np.all(np.isfinite(ta))):
-        raise ValueError("unit_matern requires finite t >= 0")
-    out = _unit_matern(nu, ta, log_bessel_k)
-    return float(out[0]) if squeeze else out
+    nu, ta = as_real(nu, "nu"), as_reals(t, "t", zero=True)
+    out = _unit_matern(nu, np.atleast_1d(ta), log_bessel_k)
+    return float(out[0]) if ta.ndim == 0 else out
 
 
 def _unit_matern(nu: float, ta: np.ndarray, log_k=_log_bessel_k) -> np.ndarray:
@@ -116,32 +111,20 @@ def as_dimension(d) -> int:
     return d
 
 
-def as_reals(values, name: str, **bound) -> np.ndarray:
-    """``values`` as a float array of their shape, each entry read by
-    ``as_real`` (with ``bound``) as ``name[i, ...]``, or as ``name`` if scalar."""
-    values = np.asarray(values, dtype=object)
-    out = np.empty(values.shape)
-    for i, v in np.ndenumerate(values):
-        out[i] = as_real(v, f"{name}{list(i)}" if i else name, **bound)
-    return out
-
-
 def as_points(points, d: int, n: int | None = None, name: str = "points") -> np.ndarray:
-    """The points as a finite float array of shape (n, d), n >= 1, else ``ValueError``.
+    """The points as a finite float array of shape (n, d), n >= 1, each
+    coordinate read by ``as_reals``, else ``ValueError``.
 
     1-D input is n points when d = 1 and one point otherwise; ``n``, when
     given, is the required count (1 for each point of a pair).
     """
-    pts = np.asarray(points, dtype=float)
+    pts = as_reals(points, name, signed=True)
     if pts.ndim == 1:
         pts = pts[:, None] if d == 1 else pts[None, :]
     if (pts.ndim != 2 or pts.shape[1] != d or pts.shape[0] == 0
             or n is not None and pts.shape[0] != n):
         want = f"(n, {d}) with n >= 1" if n is None else f"({n}, {d})"
         raise ValueError(f"{name} must have shape {want}, got shape {np.shape(points)}")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{name} must be finite, got {pts[~finite][0]}")
     return pts
 
 
@@ -205,8 +188,11 @@ class AnisoMetric:
         return float(np.max(self.scales))
 
     def metric_distance(self, u) -> float:
-        """||u||_{Theta^{-1}} computed through the factored form."""
-        w = (self.rotation.T @ np.asarray(u, dtype=float)) / self.scales
+        """||u||_{Theta^{-1}} computed through the factored form; ``u`` has d entries."""
+        u = as_reals(u, "u", signed=True)
+        if u.shape != (self.d,):
+            raise ValueError(f"u must have shape ({self.d},), got shape {u.shape}")
+        w = (self.rotation.T @ u) / self.scales
         return math.sqrt(float(np.dot(w, w)))
 
 
@@ -227,10 +213,7 @@ def decay_factor(nu: float, kappa: float, x) -> float:
     where f rounds to 1 (rho far beyond x) this raises ``ValueError``.
     """
     nu, kappa = as_real(nu, "nu"), as_real(kappa, "kappa")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0):
-        raise ValueError("decay_factor requires x > 0")
-    t = kappa * xa
+    t = kappa * as_reals(x, "x")
     out = unit_matern(max(nu, 0.5), t)
     if np.any(out >= 1.0):
         raise ValueError(f"decay factor M(kappa x) rounds to 1 at kappa x = {np.min(t):g}: "
@@ -245,16 +228,11 @@ def radiation_residual(nu: float, kappa: float, r) -> float:
     like exp(-kappa r) as r grows, which motivates beta = kappa as a Robin
     coefficient.
     """
-    nu, kappa = as_real(nu, "nu"), as_real(kappa, "kappa")
-    ra = np.asarray(r, dtype=float)
-    squeeze = ra.ndim == 0
-    ra = np.atleast_1d(ra)
-    if np.any(ra <= 0):
-        raise ValueError("radiation_residual requires r > 0")
-    t = kappa * ra
+    nu, kappa, ra = as_real(nu, "nu"), as_real(kappa, "kappa"), as_reals(r, "r")
+    t = kappa * np.atleast_1d(ra)
     lognorm = (nu - 1.0) * _LN2 + ln_gamma(nu)
     knu = np.exp(log_bessel_k(nu, t) - lognorm)
     knum1 = np.exp(log_bessel_k(nu - 1.0, t) - lognorm)
     out = kappa * np.sqrt(t) * (knu - knum1)
-    return float(out[0]) if squeeze else out
+    return float(out[0]) if ra.ndim == 0 else out
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blocks import _map_blocks
-from .matern import MaternParams, as_integer, as_points
+from .matern import MaternParams, as_integer, as_points, as_reals
 from .spectral import _BLOCK_VALUES, BoundarySpec, BoxDomain, TruncationSpec, mode_system
 
 __all__ = ["EmpiricalCov", "FieldSample", "empirical_cov", "sample_ensemble", "sample_field",
@@ -149,23 +149,22 @@ def sample_ensemble(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
 def empirical_cov(samples) -> EmpiricalCov:
     """Unbiased sample covariance over a common grid.
 
-    ``samples`` is an (n, points) array of values, one draw per row (as
-    ``sample_values`` returns them), or ``FieldSample``s on one grid.
+    ``samples`` is an (n, points) array or nested sequence of values read
+    by ``as_reals``, one draw per row (as ``sample_values`` returns them),
+    or ``FieldSample``s on one grid.
     The per-entry Monte-Carlo standard error uses the normal-theory
     asymptotic variance (C_ii C_jj + C_ij^2) / n evaluated at the
     empirical covariance itself.
     """
-    if isinstance(samples, np.ndarray):
-        data = samples
-    else:
+    if not isinstance(samples, np.ndarray) and np.iterable(samples):
         samples = list(samples)
-        if len(samples) < 2:
-            raise ValueError("empirical covariance needs at least 2 samples")
-        grid0 = samples[0].grid
-        for s in samples[1:]:  # one ensemble's samples share one grid array
-            if s.grid is not grid0 and not np.array_equal(s.grid, grid0):
-                raise ValueError("all samples must share the same grid")
-        data = np.stack([s.values for s in samples], axis=0)
+        if samples and isinstance(samples[0], FieldSample):
+            grid0 = samples[0].grid
+            for s in samples[1:]:  # one ensemble's samples share one grid array
+                if s.grid is not grid0 and not np.array_equal(s.grid, grid0):
+                    raise ValueError("all samples must share the same grid")
+            samples = np.stack([s.values for s in samples], axis=0)
+    data = as_reals(samples, "samples", signed=True)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("empirical covariance needs at least 2 samples, one per row "
                          f"of an (n, points) array; got shape {data.shape}")

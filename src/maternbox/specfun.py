@@ -22,6 +22,9 @@ Two independent evaluation routes for ``K_nu(x)`` live here on purpose:
   which shares no code with the production path and serves as its
   anti-regression oracle.
 
+Every real argument of the package is read here, below every layer that
+reads one: a scalar by ``as_real``, an array by ``as_reals``.
+
 All interesting magnitudes are tracked in log space: ``K_nu(x)`` overflows
 double precision for large orders at small arguments (already around
 ``nu = 50, x = 1e-6``), so extreme regimes must consume ``log_value``.
@@ -83,6 +86,31 @@ def as_real(value, name: str, zero: bool = False, signed: bool = False) -> float
         bound = "" if signed else " >= 0" if zero else " > 0"
         raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
     return x
+
+
+def as_reals(values, name: str, zero: bool = False, signed: bool = False) -> np.ndarray:
+    """``values`` as a float array of their shape, each entry one ``as_real``
+    takes (with ``zero``, ``signed``), else ``as_real``'s ``ValueError``
+    naming the first bad entry ``name[i, ...]`` (``name`` if scalar).
+
+    A numeric array is checked whole.  Bool, object and string arrays,
+    sequences holding a bool (``np.asarray`` reads ``True`` as 1.0) and any
+    array with a bad entry are read by ``as_real`` entry by entry.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged sequence: its rows are read as (bad) entries
+        arr = np.asarray(values, dtype=object)
+    if arr.dtype.kind in "iuf" and (isinstance(values, np.ndarray) or not any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)):
+        out = np.asarray(arr, dtype=float)
+        ok = np.isfinite(out) if signed else (out >= 0 if zero else out > 0) & (out < math.inf)
+        if ok.all():
+            return out
+    out = np.empty(arr.shape)
+    for i, v in np.ndenumerate(np.asarray(values, dtype=object)):
+        out[i] = as_real(v, f"{name}{list(i)}" if i else name, zero, signed)
+    return out
 
 
 def ln_gamma(x: float) -> float:
@@ -256,14 +284,9 @@ def log_bessel_k(nu: float, x) -> np.ndarray:
     in the calling thread; each point's value is its single-point value, so
     the blocking does not show in the result.
     """
-    nu = as_real(nu, "nu", signed=True)
-    xa = np.asarray(x, dtype=float)
-    squeeze = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    if xa.size and (not np.all(np.isfinite(xa)) or np.any(xa <= 0.0)):
-        raise ValueError("bessel argument must be finite and > 0")
-    out = _log_bessel_k(abs(nu), xa)
-    return out[0] if squeeze else out
+    nu, xa = as_real(nu, "nu", signed=True), as_reals(x, "x")
+    out = _log_bessel_k(abs(nu), np.atleast_1d(xa))
+    return out[0] if xa.ndim == 0 else out
 
 
 def _log_bessel_k(nu: float, xa: np.ndarray) -> np.ndarray:

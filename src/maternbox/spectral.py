@@ -48,7 +48,8 @@ import numpy as np
 
 from ._blocks import _map_blocks
 from .folded import _gram
-from .matern import MaternParams, as_dimension, as_integer, as_points, as_real, check_dimension
+from .matern import (MaternParams, as_dimension, as_integer, as_points, as_real, as_reals,
+                     check_dimension)
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -213,7 +214,7 @@ class RobinEigen1D:
 
     def evaluate(self, x) -> np.ndarray:
         """Values of the eigenfunctions u, shape (count, len(x))."""
-        c, x = self.h * self.ell_axis, np.atleast_1d(np.asarray(x, float))
+        c, x = self.h * self.ell_axis, np.atleast_1d(as_reals(x, "x", signed=True))
         return _robin_modes(self.alphas, self.ell_axis, c, x, np.hypot(1.0, c / self.alphas))
 
 
@@ -581,7 +582,8 @@ def _plain_gram(params: MaternParams, bc: BoundarySpec, box: BoxDomain,
     c1, c2 = np.divmod(combo, G2.shape[1])
     WG = np.empty((mu1.size, G2.shape[1]))
     rows = max(1, _BLOCK_VALUES // max(mu2.size, 1))
-    cols = max(1, _BLOCK_VALUES // max(mu1.size, 1))
+    # quarter-block gathers: full-block ones (512 KB) page-faulted afresh per chunk
+    cols = max(1, _BLOCK_VALUES // 4 // max(mu1.size, 1))
     dots = np.empty(combo.size)
     vals = np.zeros(iu[0].size)
     # axes 1 and 2 contracted as a matrix product over their distinct

@@ -9,11 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
+from maternbox import specfun
 from maternbox.bounds import (
     aniso_error_bound,
     dirichlet_error_bound,
     eulerian_number,
     lattice_error_bound,
+    lattice_kernel_sum,
     polylog_partial,
     power_sum_closed,
     window_error_bound,
@@ -37,7 +39,7 @@ from maternbox.matern import (
     radiation_residual,
     unit_matern,
 )
-from maternbox.sampler import sample_ensemble, sample_field, sample_values
+from maternbox.sampler import empirical_cov, sample_ensemble, sample_field, sample_values
 from maternbox.specfun import bessel_k, bessel_k_quadrature, ln_gamma, log_bessel_k
 from maternbox.spectral import (
     BoundarySpec,
@@ -86,17 +88,19 @@ PAIRS = {
     "cov_spectral": lambda x: cov_spectral(P1, NEUMANN, BOX1, x, [0.5], TRUNC),
     "cov_spectral_robin": lambda x: cov_spectral(P1, ROBIN, BOX1, x, [0.5], TRUNC),
 }
-# (case, bad point set, bad point, message); the infinite ones come last
+# (case, bad point set, bad point, message after the argument's name); the
+# infinite ones come last; a bad coordinate is named by its index in the input
+_NOT_FINITE = r"\[[0-9, ]+\] must be a finite number, got "
 BAD = [
-    ("nan", [[0.1], [math.nan]], [math.nan], "must be finite"),
-    ("wrong_width", [[0.1, 0.2]], [[0.1, 0.2]], "must have shape"),
-    ("three_dims", [[[0.1]], [[0.2]]], [[[0.1]]], "must have shape"),
-    ("empty", np.empty((0, 1)), [], "must have shape"),
-    ("two_points", None, [0.1, 0.2], "must have shape"),
-    ("inf", [[0.1], [math.inf]], [math.inf], "must be finite"),
-    ("minus_inf", [[-math.inf], [0.1]], [-math.inf], "must be finite"),
+    ("nan", [[0.1], [math.nan]], [math.nan], _NOT_FINITE),
+    ("wrong_width", [[0.1, 0.2]], [[0.1, 0.2]], " must have shape"),
+    ("three_dims", [[[0.1]], [[0.2]]], [[[0.1]]], " must have shape"),
+    ("empty", np.empty((0, 1)), [], " must have shape"),
+    ("two_points", None, [0.1, 0.2], " must have shape"),
+    ("inf", [[0.1], [math.inf]], [math.inf], _NOT_FINITE),
+    ("minus_inf", [[-math.inf], [0.1]], [-math.inf], _NOT_FINITE),
 ]
-CASES = [(f"{name}-{case}", fn, bad, f"{arg} {msg}")
+CASES = [(f"{name}-{case}", fn, bad, f"{arg}{msg}")
          for case, pts, x, msg in BAD
          for entries, bad, arg in ((SETS, pts, "points"), (PAIRS, x, "x")) if bad is not None
          for name, fn in entries.items()]
@@ -214,7 +218,7 @@ def _bits(out):
     and arrays by their bytes, everything else by type and value."""
     if dataclasses.is_dataclass(out):
         out = dataclasses.astuple(out)
-    if isinstance(out, tuple):
+    if isinstance(out, (tuple, list)):
         return [b for part in out for b in _bits(part)]
     if isinstance(out, (float, np.ndarray)):
         return [(type(out), np.asarray(out).dtype, np.asarray(out).tobytes())]
@@ -357,6 +361,80 @@ def test_numpy_scalar_types_agree(key):
     ref = _bits(fn(valid))
     for kind in kinds:
         assert _bits(fn(kind(valid))) == ref
+
+
+# every array argument the package reads: id -> (argument, whether 0 is
+# allowed, None if any sign is, a valid value of integers, the call of one value)
+ARRAYS = {
+    "unit_matern_t": ("t", True, [0, 1, 2], lambda v: unit_matern(2.5, v)),
+    "log_bessel_k_x": ("x", False, [1, 2, 3], lambda v: log_bessel_k(1.5, v)),
+    "decay_factor_x": ("x", False, [1, 2], lambda v: decay_factor(1.0, 1.0, v)),
+    "radiation_residual_r": ("r", False, [1, 2], lambda v: radiation_residual(1.0, 1.0, v)),
+    "lattice_kernel_sum": ("lengths", False, [1], lambda v: lattice_kernel_sum(P1, v)),
+    "metric_distance": ("u", None, [1], lambda v: M1.metric_distance(v)),
+    "empirical_cov": ("samples", None, [[1, 2], [3, 5], [0, 1]], lambda v: empirical_cov(v)),
+    "RobinEigen1D_evaluate": ("x", None, [0, 1],
+                              lambda v: robin_eigen_1d(2.0, 1.2, 5).evaluate(v)),
+}
+ARRAYS.update({key: ("points", None, [0, 1], fn) for key, fn in SETS.items()})
+ARRAYS.update({f"{key}_x": ("x", None, [1], fn) for key, fn in PAIRS.items()})
+_NOT_REALS = {"True": True, "bool_array": np.array([True]), "list_with_True": [0.5, True],
+              "object_array_with_True": np.array([0.5, True], dtype=object),
+              "ragged": [[0.5], [0.5, 1.0]],
+              "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+ARRAY_CASES = [(f"{key}-{bad_id}", name, fn, bad) for key, (name, zero, _, fn) in ARRAYS.items()
+               for bad_id, bad in {**_NOT_REALS, **({} if zero is None else {"-1": -1.0} if zero
+                                                   else {"0": 0.0, "-1": -1.0})}.items()]
+
+
+@pytest.mark.parametrize("name,fn,bad", [c[1:] for c in ARRAY_CASES],
+                         ids=[c[0] for c in ARRAY_CASES])
+def test_bad_arrays_raise(name, fn, bad):
+    # each entry read by the scalar rule: np.asarray([0.5, True]) reads True
+    # as 1.0, and log_bessel_k(1.0, True) returned -0.508; a bad entry is a
+    # ValueError naming the argument and the entry's index, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}(\[[0-9, ]+\])? must be "):
+            fn(bad)
+
+
+@pytest.mark.parametrize("key", list(ARRAYS))
+def test_array_types_agree(key):
+    # a list, a tuple and float32, int64 and float64 arrays of one value give one result
+    _, _, valid, fn = ARRAYS[key]
+    ref = _bits(fn(valid))
+    as_tuple = tuple(tuple(v) for v in valid) if isinstance(valid[0], list) else tuple(valid)
+    for value in [as_tuple] + [np.array(valid, dtype=t) for t in (np.float32, np.int64, float)]:
+        assert _bits(fn(value)) == ref
+
+
+def test_numeric_array_is_checked_whole(monkeypatch):
+    # a float array is checked by array operations, not entry by entry
+    calls = []
+    read = specfun.as_real
+    monkeypatch.setattr(specfun, "as_real", lambda *a, **k: calls.append(a) or read(*a, **k))
+    t = np.linspace(0.0, 50.0, 10 ** 5)
+    assert specfun.as_reals(t, "t", zero=True) is t and not calls
+    assert np.array_equal(unit_matern(1.0, t), unit_matern(1.0, list(t)))
+    assert len(calls) == 2  # the order nu of each log_bessel_k call
+    t[-1] = math.nan
+    with pytest.raises(ValueError, match=r"^t\[99999\] must be a finite number >= 0, got nan$"):
+        specfun.as_reals(t, "t", zero=True)
+
+
+def test_empirical_cov_reads_nested_values_as_an_array():
+    # a list of value rows raised AttributeError: 'list' object has no attribute 'grid'
+    rows = [[1.0, 2.0], [3.0, 5.0], [0.0, 1.0]]
+    ref = _bits(empirical_cov(np.array(rows)))
+    assert _bits(empirical_cov(rows)) == ref
+    assert _bits(empirical_cov([np.array(r) for r in rows])) == ref
+
+
+def test_metric_distance_needs_d_entries():
+    # a wrong length raised numpy's matmul core-dimension error
+    with pytest.raises(ValueError, match=r"^u must have shape \(2,\), got shape \(1,\)$"):
+        AnisoMetric(np.eye(2), [1.0, 2.0]).metric_distance([1.0])
 
 
 @pytest.mark.parametrize("key", list(DIMENSIONS))
